@@ -26,7 +26,8 @@ import hashlib
 import heapq
 from collections import deque
 from typing import (
-    Any, Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
+    AbstractSet, Any, Deque, Dict, FrozenSet, Iterable, List, Mapping,
+    Optional, Set, Tuple,
 )
 
 from repro.broker.event import NBEvent, freeze_payload
@@ -235,6 +236,54 @@ class _ClientRecord:
         self.last_seen = last_seen
 
 
+def shortest_paths(
+    me: str,
+    claimed: Mapping[str, AbstractSet[str]],
+    costs: Optional[Dict[str, Dict[str, int]]] = None,
+) -> Tuple[Dict[str, str], Dict[str, int]]:
+    """Cost-weighted shortest paths from ``me`` over a two-sided-claim
+    adjacency; returns (destination → first hop, destination → distance).
+
+    The one router of the fabric: autonomous brokers run it over their
+    link-state database, and a centrally routed
+    :class:`~repro.broker.network.BrokerNetwork` runs it over the
+    ground-truth topology.  An edge counts only when both endpoints
+    claim it.  Its weight is the larger of the two endpoints' advertised
+    cost classes, defaulting to 1 when neither side advertises any — so
+    a costless database is a plain hop count.  Ties break on (distance,
+    node, first hop) lexicographically, so every broker derives
+    consistent paths regardless of cost spread.
+    """
+    if costs:
+        def weight(a: str, b: str) -> int:
+            side_a = costs.get(a)
+            side_b = costs.get(b)
+            cost_a = side_a.get(b, 1) if side_a else 1
+            cost_b = side_b.get(a, 1) if side_b else 1
+            return cost_a if cost_a >= cost_b else cost_b
+    else:
+        def weight(a: str, b: str) -> int:
+            return 1
+    routes: Dict[str, str] = {}
+    dist: Dict[str, int] = {me: 0}
+    heap: List[Tuple[int, str, str]] = []
+    for neighbor in sorted(claimed.get(me, ())):
+        if me in claimed.get(neighbor, ()):
+            heapq.heappush(heap, (weight(me, neighbor), neighbor, neighbor))
+    while heap:
+        d, node, first_hop = heapq.heappop(heap)
+        if node in dist:
+            continue
+        dist[node] = d
+        routes[node] = first_hop
+        for neighbor in sorted(claimed.get(node, ())):
+            if neighbor not in dist and node in claimed.get(neighbor, ()):
+                heapq.heappush(
+                    heap, (d + weight(node, neighbor), neighbor, first_hop)
+                )
+    return routes, dist
+
+
 class Broker:
     """One broker node bound to a simulated host."""
 
@@ -254,7 +303,6 @@ class Broker:
         peer_heartbeat_interval_s: Optional[float] = None,
         peer_miss_limit: int = 3,
         tracer: Optional[Tracer] = None,
-        zero_copy: bool = True,
         cluster_id: Optional[str] = None,
         cluster_gateways: Tuple[str, ...] = (),
         overload_enabled: bool = True,
@@ -291,11 +339,6 @@ class Broker:
         # (topic → sequencer) elections per broker-set epoch.
         self.route_cache = RouteCache()
         self.route_cache_enabled = route_cache_enabled
-        #: Share one EventDelivery envelope (and precomputed wire size)
-        #: across the whole local fan-out instead of allocating one per
-        #: destination.  Off restores the per-destination copies; both
-        #: modes are bit-identical (see tests/broker/test_determinism.py).
-        self.zero_copy = zero_copy
         self._broker_set_epoch = 0
         self._sequencer_epoch = -1
         self._sequencers: Dict[str, str] = {}
@@ -1503,20 +1546,14 @@ class Broker:
         send_cost = entry.send_cost_s(self.profile, event.size)
         alloc = self.profile.alloc_bytes_per_send
         if len(entry.local_targets) > 1:
-            # The payload is about to be shared across receivers (it
-            # always was, through per-destination envelopes); freeze it so
-            # a mutating receiver fails loudly instead of corrupting its
-            # peers.  Mode-independent, so zero_copy on/off stays
-            # bit-identical.
+            # The payload is about to be shared across receivers; freeze
+            # it so a mutating receiver fails loudly instead of
+            # corrupting its peers.
             event.payload = freeze_payload(event.payload)
-        if self.zero_copy:
-            # One envelope + one wire-size computation for the whole
-            # fan-out; destinations are distinguished by their link.
-            shared = EventDelivery(event)
-            wire_size = self.profile.envelope_bytes + len(event.topic) + event.size
-        else:
-            shared = None
-            wire_size = 0
+        # One envelope + one wire-size computation for the whole fan-out;
+        # destinations are distinguished by their link.
+        shared = EventDelivery(event)
+        wire_size = self.profile.envelope_bytes + len(event.topic) + event.size
         delivered: List[str] = []
         for client_id in entry.local_targets:
             if client_id == exclude:
@@ -1530,10 +1567,8 @@ class Broker:
                 cpu.allocate(alloc)
             if event.reliable and record.outbox is not None:
                 execute(send_cost, record.outbox.send, event)
-            elif shared is not None:
-                execute(send_cost, record.link.send_sized, shared, wire_size)
             else:
-                execute(send_cost, record.link.send, EventDelivery(event))
+                execute(send_cost, record.link.send_sized, shared, wire_size)
         if not delivered:
             return
         if not internal_topic(event.topic):
@@ -2091,7 +2126,7 @@ class Broker:
             origin: entry[1] for origin, entry in self._lsdb.items()
         }
         claimed[self.broker_id] = self._intra_neighbors()
-        routes, dist = self._dijkstra(claimed, self._lsdb_costs)
+        routes, dist = shortest_paths(self.broker_id, claimed, self._lsdb_costs)
         gw_dist: Dict[str, int] = {}
         if self._clustered and self.is_gateway:
             routes, gw_dist = self._merge_gateway_routes(routes)
@@ -2126,58 +2161,6 @@ class Broker:
             self._reconcile_foreign_install()
         self._schedule_summary_refresh()
 
-    def _dijkstra(
-        self,
-        claimed: Dict[str, FrozenSet[str]],
-        costs: Optional[Dict[str, Dict[str, int]]] = None,
-    ) -> Tuple[Dict[str, str], Dict[str, int]]:
-        """Cost-weighted shortest paths over a two-sided-claim adjacency;
-        returns (destination → first hop, destination → distance).
-
-        An edge's weight is the larger of the two endpoints' advertised
-        cost classes, defaulting to 1 when neither side advertises any —
-        so a costless database degenerates to exactly the pre-geo
-        unit-weight hop count, heap order included.  Ties break on
-        (distance, node) lexicographically so every broker derives
-        consistent paths regardless of cost spread.
-        """
-        adjacency: Dict[str, Set[str]] = {
-            origin: {
-                neighbor
-                for neighbor in neighbors
-                if origin in claimed.get(neighbor, ())
-            }
-            for origin, neighbors in claimed.items()
-        }
-        if costs:
-            def weight(a: str, b: str) -> int:
-                side_a = costs.get(a)
-                side_b = costs.get(b)
-                cost_a = side_a.get(b, 1) if side_a else 1
-                cost_b = side_b.get(a, 1) if side_b else 1
-                return cost_a if cost_a >= cost_b else cost_b
-        else:
-            def weight(a: str, b: str) -> int:
-                return 1
-        me = self.broker_id
-        routes: Dict[str, str] = {}
-        dist: Dict[str, int] = {me: 0}
-        heap: List[Tuple[int, str, str]] = []
-        for neighbor in sorted(adjacency.get(me, ())):
-            heapq.heappush(heap, (weight(me, neighbor), neighbor, neighbor))
-        while heap:
-            d, node, first_hop = heapq.heappop(heap)
-            if node in dist:
-                continue
-            dist[node] = d
-            routes[node] = first_hop
-            for neighbor in sorted(adjacency.get(node, ())):
-                if neighbor not in dist:
-                    heapq.heappush(
-                        heap, (d + weight(node, neighbor), neighbor, first_hop)
-                    )
-        return routes, dist
-
     def _merge_gateway_routes(
         self, routes: Dict[str, str]
     ) -> Tuple[Dict[str, str], Dict[str, int]]:
@@ -2196,7 +2179,9 @@ class Broker:
         cluster_of: Dict[str, str] = {
             origin: entry[2] for origin, entry in self._gw_lsdb.items()
         }
-        gw_routes, gw_dist = self._dijkstra(claimed, self._gw_lsdb_costs)
+        gw_routes, gw_dist = shortest_paths(
+            self.broker_id, claimed, self._gw_lsdb_costs
+        )
         merged = dict(routes)
         for gateway, first_hop in gw_routes.items():
             if cluster_of.get(gateway) == self.cluster_id:

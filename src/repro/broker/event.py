@@ -56,9 +56,8 @@ def classify_topic(topic: str) -> int:
 def freeze_payload(payload: Any) -> Any:
     """Return an immutable view of common mutable payload containers.
 
-    The broker fans one payload object out to every matching receiver (the
-    zero-copy optimization, but the ``NBEvent`` inside per-destination
-    envelopes was always shared), so a receiver mutating it would silently
+    The broker fans one payload object out to every matching receiver
+    inside one shared envelope, so a receiver mutating it would silently
     corrupt what its peers see.  Freezing at fan-out turns that silent
     corruption into an immediate ``TypeError`` at the mutation site.
     Payload types we can't cheaply freeze pass through unchanged.

@@ -475,7 +475,7 @@ class ClientLink:
         self._transmit(message, size)
 
     def send_sized(self, delivery: "EventDelivery", size: int) -> None:
-        """Zero-copy fan-out fast path.
+        """Shared-envelope fan-out path.
 
         The broker precomputes the wire size once and shares a single
         :class:`EventDelivery` across every destination, so this skips the

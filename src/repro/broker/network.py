@@ -4,10 +4,11 @@ Builds a graph of brokers over simulated hosts and wires peer links — the
 "dynamic collection of brokers" of Section 2.3.  Two operating modes:
 
 * **Central** (default, ``autonomous=False``): this object computes every
-  broker's shortest-path next-hop table (via networkx) and pushes it with
-  ``set_routes`` whenever topology changes, and re-syncs subscription
-  adverts itself.  Deterministic and instant — right for calibration
-  benchmarks where failure handling is not under test.
+  broker's shortest-path next-hop table with the router the brokers run
+  themselves (:func:`~repro.broker.broker.shortest_paths`), pushes it
+  with ``set_routes`` whenever topology changes, and re-syncs
+  subscription adverts itself.  Deterministic and instant — right for
+  calibration benchmarks where failure handling is not under test.
 * **Autonomous** (``autonomous=True``): brokers run peer heartbeats and
   flooded link-state adverts, detect dead peers themselves, and compute
   their own routes; this object shrinks to a topology builder plus a
@@ -24,101 +25,17 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
-from repro.broker.broker import Broker
-from repro.broker.client import BrokerClient
+from repro.broker.broker import Broker, shortest_paths
 from repro.broker.overload import DEFAULT_RETRY_AFTER_S, ShedWatermarks
 from repro.broker.profile import BrokerProfile, NARADA_PROFILE
 from repro.obs.trace import Tracer
-from repro.simnet.kernel import Simulator
 from repro.simnet.link import LAN_1G, LinkProfile
 from repro.simnet.network import Network
 from repro.simnet.node import Host
-from repro.simnet.shard import EpochCoordinator, thaw_payload
 
 #: Default peer-heartbeat interval when ``autonomous`` is on and no
 #: explicit interval was given.
 DEFAULT_PEER_HEARTBEAT_S = 1.0
-
-#: Client-id / host-name prefix of the per-shard bridge clients; events
-#: published by a client with this prefix are never re-exported (loop
-#: prevention for bridged topics).
-XSHARD_GATEWAY_PREFIX = "xshard-gw"
-
-#: Default epoch length for sharded stepping: cross-shard messages are
-#: delivered at the first epoch boundary after export, so this must stay
-#: at or below the modelled inter-region latency (10 ms ~ the smallest
-#: WAN paths in the deployment examples).
-DEFAULT_SHARD_EPOCH_S = 0.010
-
-
-class _BrokerShard:
-    """One region: an independent world stepped by the epoch coordinator.
-
-    Implements the :class:`repro.simnet.shard.ShardWorld` protocol over a
-    ``(Simulator, Network, BrokerNetwork)`` triple plus one bridge client
-    that captures bridged-topic publishes for export and republishes
-    peer-shard exports at epoch boundaries.
-    """
-
-    __slots__ = ("index", "sim", "net", "brokers", "gateway", "_exports", "_bridges")
-
-    def __init__(self, index: int, net: Network, brokers: "BrokerNetwork"):
-        self.index = index
-        self.sim = net.sim
-        self.net = net
-        self.brokers = brokers
-        self.gateway: Optional[BrokerClient] = None
-        self._exports: List[Tuple[Optional[int], Tuple[str, object, int]]] = []
-        self._bridges: List[str] = []
-
-    # -------------------------------------------------- bridge wiring
-
-    def ensure_gateway(self) -> BrokerClient:
-        if self.gateway is None:
-            # ``self.brokers`` is the parent (sharded) BrokerNetwork for
-            # shard 0 and a plain single-shard sibling otherwise; in both
-            # cases ``_brokers`` holds exactly this shard's own brokers.
-            local = self.brokers._brokers
-            if not local:
-                raise RuntimeError(
-                    f"shard {self.index} has no brokers; add brokers before "
-                    "bridging topics"
-                )
-            name = f"{XSHARD_GATEWAY_PREFIX}-{self.index}"
-            host = self.net.create_host(f"{name}-host")
-            self.gateway = BrokerClient(host, client_id=name)
-            self.gateway.connect(local[sorted(local)[0]])
-        return self.gateway
-
-    def bridge(self, pattern: str) -> None:
-        if pattern in self._bridges:
-            return
-        self._bridges.append(pattern)
-        self.ensure_gateway().subscribe(pattern, self._capture)
-
-    def _capture(self, event) -> None:
-        if event.source.startswith(XSHARD_GATEWAY_PREFIX):
-            return  # a peer shard's injection: do not echo it back out
-        self._exports.append(
-            (None, (event.topic, thaw_payload(event.payload), event.size))
-        )
-
-    # ------------------------------------------- ShardWorld protocol
-
-    def advance(self, until: float) -> None:
-        self.sim.run(until=until)
-
-    def drain_exports(self):
-        exports, self._exports = self._exports, []
-        return exports
-
-    def inject(self, messages, now: float) -> None:
-        gateway = self.ensure_gateway()
-        for topic, payload, size in messages:
-            gateway.publish(topic, payload, size)
-
 
 class BrokerNetwork:
     """A dynamic collection of interconnected brokers."""
@@ -131,8 +48,6 @@ class BrokerNetwork:
         peer_heartbeat_interval_s: Optional[float] = None,
         peer_miss_limit: int = 3,
         tracer: Optional[Tracer] = None,
-        shards: int = 1,
-        shard_epoch_s: float = DEFAULT_SHARD_EPOCH_S,
         clusters: Optional[Dict[str, Sequence[str]]] = None,
         gateways_per_cluster: int = 2,
         overload_enabled: bool = True,
@@ -140,8 +55,6 @@ class BrokerNetwork:
         retry_after_s: float = DEFAULT_RETRY_AFTER_S,
         regions: Optional[Dict[str, Sequence[str]]] = None,
     ):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         self.network = network
         self.profile = profile
         self.autonomous = autonomous
@@ -185,8 +98,6 @@ class BrokerNetwork:
                     "clusters= requires autonomous=True (gateway election "
                     "and scoped flooding are mesh-driven)"
                 )
-            if shards > 1:
-                raise ValueError("clusters= cannot combine with shards>1")
             if gateways_per_cluster < 1:
                 raise ValueError("gateways_per_cluster must be >= 1")
             for cluster_id, members in self.clusters.items():
@@ -215,49 +126,12 @@ class BrokerNetwork:
         self.overload_enabled = overload_enabled
         self.shed_watermarks = shed_watermarks
         self.retry_after_s = retry_after_s
-        self.graph = nx.Graph()
+        #: Ground-truth topology: broker → directly peered brokers, in
+        #: broker-add order (crashed brokers leave it until restarted).
+        self.graph: Dict[str, Set[str]] = {}
         self._brokers: Dict[str, Broker] = {}
         self._crashed: Dict[str, Tuple[Host, Set[str]]] = {}
         self._cut: Set[Tuple[str, str]] = set()
-        # ------------------------------------------- region sharding
-        # ``shards=1`` (the default) is exactly the legacy single-world
-        # path: no coordinator, no gateways, no behaviour change.  With
-        # ``shards=N`` this instance owns shard 0 (on the caller's
-        # ``network``) and builds N-1 sibling worlds, each with its own
-        # Simulator and a Network seeded from a deterministic fork of
-        # the caller's stream factory; drive them with :meth:`run`.
-        self.shards = shards
-        self.shard_epoch_s = shard_epoch_s
-        self._shard_of: Dict[str, int] = {}
-        self._next_shard = 0
-        self._shard_worlds: List[_BrokerShard] = []
-        self._coordinator: Optional[EpochCoordinator] = None
-        if shards > 1:
-            self._shard_worlds.append(_BrokerShard(0, network, self))
-            for index in range(1, shards):
-                streams = network.streams.fork(f"shard-{index}")
-                net = Network(
-                    Simulator(),
-                    streams=streams,
-                    base_latency_s=network.base_latency_s,
-                )
-                sibling = BrokerNetwork(
-                    net,
-                    profile=profile,
-                    autonomous=autonomous,
-                    peer_heartbeat_interval_s=peer_heartbeat_interval_s,
-                    peer_miss_limit=peer_miss_limit,
-                    tracer=tracer,
-                    overload_enabled=overload_enabled,
-                    shed_watermarks=shed_watermarks,
-                    retry_after_s=retry_after_s,
-                    regions=regions,
-                )
-                self._shard_worlds.append(_BrokerShard(index, net, sibling))
-            self._coordinator = EpochCoordinator(
-                self._shard_worlds, epoch_s=shard_epoch_s
-            )
-
     # ----------------------------------------------------------- topology
 
     def add_broker(
@@ -266,31 +140,8 @@ class BrokerNetwork:
         host: Optional[Host] = None,
         link: LinkProfile = LAN_1G,
         profile: Optional[BrokerProfile] = None,
-        shard: Optional[int] = None,
     ) -> Broker:
-        """Create a broker named ``name``; a host is created unless given.
-
-        With ``shards=N``, ``shard`` pins the broker to a region
-        (default: round-robin in add order).  Brokers in different
-        shards live in different simulations and can only exchange
-        events through :meth:`bridge_topic`.
-        """
-        if self.shards > 1:
-            if shard is None:
-                shard = self._next_shard
-                self._next_shard = (self._next_shard + 1) % self.shards
-            elif not 0 <= shard < self.shards:
-                raise ValueError(f"shard {shard} outside 0..{self.shards - 1}")
-            if name in self._shard_of:
-                raise ValueError(f"duplicate broker {name!r}")
-            self._shard_of[name] = shard
-            if shard != 0:
-                world = self._shard_worlds[shard]
-                return world.brokers.add_broker(
-                    name, host=host, link=link, profile=profile
-                )
-        elif shard is not None and shard != 0:
-            raise ValueError("shard placement requires BrokerNetwork(shards=N)")
+        """Create a broker named ``name``; a host is created unless given."""
         if name in self._brokers:
             raise ValueError(f"duplicate broker {name!r}")
         if self.clusters is not None and name not in self._cluster_of:
@@ -304,7 +155,7 @@ class BrokerNetwork:
             self.network.set_region(host.name, region)
         broker = self._make_broker(name, host, profile=profile)
         self._brokers[name] = broker
-        self.graph.add_node(name)
+        self.graph[name] = set()
         return broker
 
     def _make_broker(
@@ -351,19 +202,6 @@ class BrokerNetwork:
 
     def connect(self, a: str, b: str) -> None:
         """Create a peer link between brokers ``a`` and ``b``."""
-        if self.shards > 1:
-            shard_a = self._shard_of.get(a)
-            shard_b = self._shard_of.get(b)
-            if shard_a != shard_b:
-                raise ValueError(
-                    f"brokers {a!r} (shard {shard_a}) and {b!r} (shard "
-                    f"{shard_b}) live in different shards; peer links cannot "
-                    "cross shard boundaries — use bridge_topic() for "
-                    "cross-region traffic"
-                )
-            if shard_a not in (None, 0):
-                self._shard_worlds[shard_a].brokers.connect(a, b)
-                return
         broker_a = self.broker(a)
         broker_b = self.broker(b)
         intercluster = self._is_intercluster(a, b)
@@ -377,7 +215,7 @@ class BrokerNetwork:
                     f"inter-cluster link {a!r}–{b!r} must join gateway "
                     "brokers of their clusters"
                 )
-        self.graph.add_edge(a, b)
+        self._add_edge(a, b)
         broker_a.add_peer(b, broker_b.peer_address, intercluster=intercluster)
         broker_b.add_peer(a, broker_a.peer_address, intercluster=intercluster)
         if self.autonomous:
@@ -388,10 +226,10 @@ class BrokerNetwork:
         broker_b.sync_subscriptions_to_peers()
 
     def disconnect(self, a: str, b: str) -> None:
-        if self.graph.has_edge(a, b):
-            self.graph.remove_edge(a, b)
         broker_a = self.broker(a)
         broker_b = self.broker(b)
+        self.graph[a].discard(b)
+        self.graph[b].discard(a)
         broker_a.remove_peer(b)
         broker_b.remove_peer(a)
         if self.autonomous:
@@ -410,22 +248,35 @@ class BrokerNetwork:
         interest on every survivor (see :meth:`Broker.set_routes`) — and
         only then close it, so no survivor ever sends to a closed host."""
         broker = self.broker(name)
-        for peer in list(self.graph.neighbors(name)):
+        for peer in sorted(self.graph[name]):
             self.broker(peer).remove_peer(name)
-        self.graph.remove_node(name)
+        self._remove_node(name)
         del self._brokers[name]
         if not self.autonomous:
             self._recompute_routes()
         broker.close()
 
     def _recompute_routes(self) -> None:
-        paths = dict(nx.all_pairs_shortest_path(self.graph))
         for broker_id, broker in self._brokers.items():
-            routes: Dict[str, str] = {}
-            for destination, path in paths.get(broker_id, {}).items():
-                if destination != broker_id and len(path) >= 2:
-                    routes[destination] = path[1]
-            broker.set_routes(routes)
+            broker.set_routes(shortest_paths(broker_id, self.graph)[0])
+
+    def _add_edge(self, a: str, b: str) -> None:
+        self.graph[a].add(b)
+        self.graph[b].add(a)
+
+    def _remove_node(self, name: str) -> None:
+        for peer in self.graph.pop(name):
+            self.graph[peer].discard(name)
+
+    def edges(self) -> List[Tuple[str, str]]:
+        """Every live peer link once, sorted, each as (earlier-added
+        broker, later-added broker)."""
+        seen: Set[str] = set()
+        edges: List[Tuple[str, str]] = []
+        for name, peers in self.graph.items():
+            edges.extend((name, peer) for peer in peers if peer not in seen)
+            seen.add(name)
+        return sorted(edges)
 
     # ------------------------------------------------------ chaos driving
     #
@@ -437,8 +288,8 @@ class BrokerNetwork:
     def crash_broker(self, name: str) -> None:
         """Un-announced kill: sockets close, peers learn nothing."""
         broker = self._brokers.pop(name)
-        self._crashed[name] = (broker.host, set(self.graph.neighbors(name)))
-        self.graph.remove_node(name)
+        self._crashed[name] = (broker.host, set(self.graph[name]))
+        self._remove_node(name)
         broker.close()
 
     def restart_broker(self, name: str) -> Broker:
@@ -447,7 +298,7 @@ class BrokerNetwork:
         host, former_neighbors = self._crashed.pop(name)
         broker = self._make_broker(name, host)
         self._brokers[name] = broker
-        self.graph.add_node(name)
+        self.graph[name] = set()
         for peer in sorted(former_neighbors):
             if (
                 peer in self._brokers
@@ -459,7 +310,7 @@ class BrokerNetwork:
     def _repeer(self, a: str, b: str) -> None:
         broker_a = self.broker(a)
         broker_b = self.broker(b)
-        self.graph.add_edge(a, b)
+        self._add_edge(a, b)
         intercluster = self._is_intercluster(a, b)
         broker_a.add_peer(b, broker_b.peer_address, intercluster=intercluster)
         broker_b.add_peer(a, broker_a.peer_address, intercluster=intercluster)
@@ -491,7 +342,7 @@ class BrokerNetwork:
         for index, group in enumerate(groups):
             for name in group:
                 side_of[name] = index
-        for a, b in sorted(self.graph.edges):
+        for a, b in self.edges():
             if side_of.get(a) != side_of.get(b):
                 self.cut_link(a, b)
 
@@ -540,7 +391,7 @@ class BrokerNetwork:
         # other during the outage — the administrative act of plugging
         # the cable back in; LSAs and digests reconverge from there.
         healed_pairs = {frozenset(pair) for pair in healed}
-        for a, b in sorted(self.graph.edges):
+        for a, b in self.edges():
             region_a = self._region_of.get(a)
             region_b = self._region_of.get(b)
             if (
@@ -556,7 +407,7 @@ class BrokerNetwork:
             if not (broker_a.has_peer(b) and broker_b.has_peer(a)):
                 self._repeer(a, b)
 
-    # --------------------------------------------------- sharded stepping
+    # ---------------------------------------------------------- telemetry
 
     def attach_telemetry(self, **options) -> "TelemetryPlane":
         """Build the telemetry plane for this fabric (DESIGN.md §11).
@@ -564,98 +415,34 @@ class BrokerNetwork:
         Clustered fabrics get delta monitors on cluster-scoped topics,
         per-gateway :class:`~repro.obs.aggregate.ClusterHealthAggregator`
         roles and an O(clusters) fleet console; flat fabrics get classic
-        full-sample monitors and a wildcard monitoring console; sharded
-        fabrics get one flat sub-plane per region.  Call after the
-        topology is built, then ``start()`` the returned plane.  Options
-        are forwarded to :class:`~repro.obs.aggregate.TelemetryPlane`.
+        full-sample monitors and a wildcard monitoring console.  Call
+        after the topology is built, then ``start()`` the returned plane.
+        Options are forwarded to :class:`~repro.obs.aggregate.TelemetryPlane`.
         """
         from repro.obs.aggregate import TelemetryPlane
 
         return TelemetryPlane(self, **options)
 
-    def bridge_topic(self, pattern: str) -> None:
-        """Export ``pattern`` across every shard boundary.
-
-        Each shard's bridge client subscribes to the pattern; events it
-        captures are republished into every *other* shard at the next
-        epoch boundary.  Requires ``shards > 1`` and at least one broker
-        per shard.
-        """
-        if self.shards == 1:
-            raise RuntimeError("bridge_topic requires BrokerNetwork(shards=N)")
-        for world in self._shard_worlds:
-            world.bridge(pattern)
-
-    def run(self, until: float) -> None:
-        """Advance the simulation(s) to virtual time ``until``.
-
-        Single-shard: simply runs the underlying simulator (identical to
-        calling ``network.sim.run(until=...)`` yourself).  Sharded: steps
-        every shard world in lockstep epochs of ``shard_epoch_s``,
-        exchanging bridged events at each boundary (see
-        :mod:`repro.simnet.shard` for the determinism contract).
-        """
-        if self._coordinator is None:
-            self.network.sim.run(until=until)
-        else:
-            self._coordinator.run(until)
-
-    def shard_of(self, name: str) -> int:
-        """The shard index a broker was placed in (0 when unsharded)."""
-        if self.shards == 1:
-            self.broker(name)  # raises KeyError for unknown names
-            return 0
-        try:
-            return self._shard_of[name]
-        except KeyError:
-            raise KeyError(f"unknown broker {name!r}") from None
-
-    def shard_world(self, index: int) -> "_BrokerShard":
-        """Access one shard's world (its sim/net/brokers) for inspection."""
-        if self.shards == 1:
-            raise RuntimeError("shard_world requires BrokerNetwork(shards=N)")
-        return self._shard_worlds[index]
-
-    @property
-    def messages_exchanged(self) -> int:
-        """Cross-shard events relayed at epoch boundaries so far."""
-        return (
-            self._coordinator.messages_exchanged
-            if self._coordinator is not None
-            else 0
-        )
-
     # ------------------------------------------------------------- access
 
     def broker(self, name: str) -> Broker:
         broker = self._brokers.get(name)
-        if broker is not None:
-            return broker
-        if self.shards > 1:
-            shard = self._shard_of.get(name)
-            if shard is not None and shard != 0:
-                return self._shard_worlds[shard].brokers.broker(name)
-        raise KeyError(f"unknown broker {name!r}")
+        if broker is None:
+            raise KeyError(f"unknown broker {name!r}")
+        return broker
 
     def brokers(self) -> List[Broker]:
         return [self.broker(name) for name in self.broker_ids()]
 
     def broker_ids(self) -> List[str]:
-        if self.shards > 1:
-            return sorted(self._shard_of)
         return sorted(self._brokers)
 
     def __len__(self) -> int:
-        if self.shards > 1:
-            return len(self._shard_of)
         return len(self._brokers)
 
     def close(self) -> None:
         for broker in self._brokers.values():
             broker.close()
-        for world in self._shard_worlds:
-            if world.index != 0:
-                world.brokers.close()
 
     # -------------------------------------------------------- topologies
 

@@ -1,12 +1,11 @@
-"""Bit-identical determinism across the raw-speed fast paths.
+"""Bit-identical determinism across opt-in modes that must stay inert.
 
-The perf pass added mode switches — the batched kernel dispatch loop
-(``Simulator(batched=...)``), zero-copy fan-out (``Broker(zero_copy=...)``)
-and region-sharded stepping (``BrokerNetwork(shards=N)``).  Every switch
-must be *purely* mechanical: same seed in, same delivery trace out —
-event ids, sequence numbers, and delivery times identical to the last
-bit.  These tests run one lossy/jittery pub-sub workload under each
-mode pair and compare full traces, not summaries.
+The overload controller below its watermarks, ``clusters=None``,
+``regions=None`` and bare simnet region labels must each leave a seeded
+lossy/jittery workload unchanged to the last bit: same event ids,
+sequence numbers and delivery times.  These tests compare full traces,
+not summaries.  Determinism of each mode against recorded truth lives
+in ``tests/golden``.
 """
 
 import pytest
@@ -25,27 +24,20 @@ FLAKY = LinkProfile(
 SEED = 1234
 
 
-def run_workload(
-    batched=True,
-    zero_copy=True,
-    events=60,
-    overload_enabled=True,
-    tracer_rate=None,
-):
+def run_workload(events=60, overload_enabled=True, tracer_rate=None):
     """One seeded pub-sub run; returns the full delivery trace.
 
-    Three subscribers (fan-out > 1, so the zero-copy envelope path and
-    payload freezing both engage), one publisher, plain + ordered
-    events, lossy jittery links everywhere.
+    Three subscribers (fan-out > 1, so the shared envelope and payload
+    freezing both engage), one publisher, plain + ordered events, lossy
+    jittery links everywhere.
     """
     from repro.obs.trace import Tracer
 
-    sim = Simulator(batched=batched)
+    sim = Simulator()
     net = Network(sim, SeededStreams(SEED))
     broker = Broker(
         net.create_host("broker-host", link=FLAKY),
         broker_id="b0",
-        zero_copy=zero_copy,
         overload_enabled=overload_enabled,
         tracer=Tracer(tracer_rate) if tracer_rate else None,
     )
@@ -94,78 +86,13 @@ def normalize(trace, id_field):
     ]
 
 
-def test_batched_kernel_matches_legacy_loop():
-    assert run_workload(batched=True) == run_workload(batched=False)
-
-
-def test_zero_copy_fanout_matches_per_destination_copies():
-    assert run_workload(zero_copy=True) == run_workload(zero_copy=False)
-
-
-def test_all_fast_paths_off_matches_all_on():
-    both_on = run_workload(batched=True, zero_copy=True)
-    both_off = run_workload(batched=False, zero_copy=False)
-    assert both_on == both_off
-
-
 def test_overload_controller_below_watermarks_is_bit_identical():
     """The overload controller is a pure observer under its watermarks:
     with pressure below the degraded marks the enabled run must match a
-    run without the controller to the last bit, in both kernel modes."""
-    for batched in (True, False):
-        enabled = run_workload(batched=batched, overload_enabled=True)
-        disabled = run_workload(batched=batched, overload_enabled=False)
-        assert enabled == disabled
-
-
-def sharded_trace(shards):
-    """Single-shard-capable workload run through the BrokerNetwork API."""
-    sim = Simulator()
-    net = Network(sim, SeededStreams(SEED))
-    collection = BrokerNetwork(net, shards=shards)
-    collection.add_broker("b0", link=FLAKY, shard=0 if shards > 1 else None)
-    broker = collection.broker("b0")
-    trace = []
-    client = BrokerClient(net.create_host("sub", link=FLAKY), client_id="sub")
-    client.connect(broker)
-    client.subscribe(
-        "/room/#",
-        lambda event: trace.append((event.event_id, event.topic, sim.now)),
-    )
-    publisher = BrokerClient(net.create_host("pub", link=FLAKY), client_id="pub")
-    publisher.connect(broker)
-    for index in range(40):
-        sim.schedule_at(
-            1.0 + index * 0.01, publisher.publish, "/room/video", index, 300
-        )
-    collection.run(3.0)
-    assert trace
-    return normalize(trace, id_field=0)
-
-
-def test_shards_1_is_bit_identical_to_legacy_event_loop():
-    """``shards=1`` must be *exactly* the legacy path, not merely close."""
-    legacy = []
-    sim = Simulator()
-    net = Network(sim, SeededStreams(SEED))
-    collection = BrokerNetwork(net)  # no shards argument at all
-    collection.add_broker("b0", link=FLAKY)
-    broker = collection.broker("b0")
-    client = BrokerClient(net.create_host("sub", link=FLAKY), client_id="sub")
-    client.connect(broker)
-    client.subscribe(
-        "/room/#",
-        lambda event: legacy.append((event.event_id, event.topic, sim.now)),
-    )
-    publisher = BrokerClient(net.create_host("pub", link=FLAKY), client_id="pub")
-    publisher.connect(broker)
-    for index in range(40):
-        sim.schedule_at(
-            1.0 + index * 0.01, publisher.publish, "/room/video", index, 300
-        )
-    sim.run(until=3.0)
-
-    assert sharded_trace(shards=1) == normalize(legacy, id_field=0)
+    run without the controller to the last bit."""
+    enabled = run_workload(overload_enabled=True)
+    disabled = run_workload(overload_enabled=False)
+    assert enabled == disabled
 
 
 def flat_mesh_trace(label_regions=False, **network_options):
@@ -362,7 +289,7 @@ def test_telemetry_plane_is_deterministic():
 
 
 def test_shared_payload_mutation_is_detected():
-    """Zero-copy shares one payload across receivers; mutating it must
+    """Fan-out shares one payload across receivers; mutating it must
     fail loudly (freeze-at-fan-out), not silently corrupt peers."""
     sim = Simulator()
     net = Network(sim, SeededStreams(SEED))

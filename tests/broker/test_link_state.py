@@ -5,10 +5,12 @@ peer death via heartbeat silence, flooding LinkStateAdverts, computing
 next-hop tables locally, and reconciling databases via digests.
 """
 
+import networkx as nx
 import pytest
 
 from repro.broker import BrokerNetwork
 from repro.broker.links import LinkStateAdvert, LinkStateDigest, PeerHeartbeat, message_size
+from repro.simnet import Network, SeededStreams, Simulator
 
 FAST = dict(autonomous=True, peer_heartbeat_interval_s=0.25, peer_miss_limit=2)
 
@@ -23,6 +25,23 @@ def routes_of(bnet):
     return {b.broker_id: dict(b._routes) for b in bnet.brokers()}
 
 
+def assert_converges_to_central_routes(sim, net, count):
+    bnet = ring(net, count=count)
+    sim.run_for(2.0)
+    distributed = routes_of(bnet)
+    assert_full_mesh_routes(bnet)
+    central = BrokerNetwork.ring(Network(Simulator(), SeededStreams(0)), count)
+    assert distributed == routes_of(central)
+    # Independent oracle: every first hop starts a shortest path.
+    graph = nx.Graph(bnet.edges())
+    for broker_id, routes in distributed.items():
+        for destination, hop in routes.items():
+            d = nx.shortest_path_length(graph, broker_id, destination)
+            via = 1 + nx.shortest_path_length(graph, hop, destination)
+            assert via == d, "distributed route is not shortest"
+    return distributed
+
+
 def assert_full_mesh_routes(bnet):
     ids = set(bnet.broker_ids())
     for broker in bnet.brokers():
@@ -35,32 +54,16 @@ def assert_full_mesh_routes(bnet):
 
 class TestConvergence:
     def test_ring_converges_to_central_routes(self, sim, net):
-        """The distributed protocol lands on the same next hops the old
-        central all-pairs-shortest-path computation produced."""
-        bnet = ring(net)
-        sim.run_for(2.0)
-        distributed = routes_of(bnet)
-        assert_full_mesh_routes(bnet)
-        # Recompute centrally over the same graph and compare.
-        central_routes = {}
-        import networkx as nx
-        paths = dict(nx.all_pairs_shortest_path(bnet.graph))
-        for broker_id in bnet.broker_ids():
-            routes = {}
-            for destination, path in paths[broker_id].items():
-                if destination != broker_id and len(path) >= 2:
-                    routes[destination] = path[1]
-            central_routes[broker_id] = routes
-        # Same reachability; equal-cost ties may differ only between
-        # equally short first hops.
-        for broker_id, routes in distributed.items():
-            assert set(routes) == set(central_routes[broker_id])
-            for destination, hop in routes.items():
-                central_hop = central_routes[broker_id][destination]
-                if hop != central_hop:
-                    d = nx.shortest_path_length(bnet.graph, broker_id, destination)
-                    via = 1 + nx.shortest_path_length(bnet.graph, hop, destination)
-                    assert via == d, "distributed route is not shortest"
+        """The distributed protocol lands on exactly the next hops the
+        central router pushes — one algorithm, one tie-break — and every
+        one of them is a shortest path."""
+        assert_converges_to_central_routes(sim, net, count=5)
+
+    def test_even_ring_ties_break_like_the_central_router(self, sim, net):
+        """On a 4-ring broker-3 reaches broker-1 equally fast via
+        broker-0 or broker-2; both routers must pick the same one."""
+        distributed = assert_converges_to_central_routes(sim, net, count=4)
+        assert distributed["broker-3"]["broker-1"] == "broker-0"
 
     def test_lsa_counters_on_statistics(self, sim, net):
         bnet = ring(net)
@@ -73,8 +76,6 @@ class TestConvergence:
             assert broker.last_route_change_at >= 0.0
 
     def test_convergence_is_deterministic(self):
-        from repro.simnet import Network, SeededStreams, Simulator
-
         def run():
             sim = Simulator()
             net = Network(sim, SeededStreams(11))

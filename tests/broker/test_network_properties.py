@@ -7,7 +7,6 @@ matching subscriber EXACTLY once — no losses, no duplicates — and never
 to non-matching subscribers.
 """
 
-import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st

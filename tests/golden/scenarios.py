@@ -31,7 +31,7 @@ from repro.broker import Broker, BrokerClient, BrokerNetwork
 from repro.broker.overload import ShedWatermarks
 from repro.obs.trace import Tracer
 from repro.simnet.kernel import Simulator
-from repro.simnet.link import LinkProfile
+from repro.simnet.link import LAN_100M, LinkProfile
 from repro.simnet.network import Network
 from repro.simnet.rng import SeededStreams
 
@@ -80,12 +80,9 @@ class Run:
 
         return on_event
 
-    def client(self, name: str, broker: Broker, link=None) -> BrokerClient:
-        host = (
-            self.net.create_host(name)
-            if link is None
-            else self.net.create_host(name, link=link)
-        )
+    def client(self, name: str, broker: Broker,
+               link: LinkProfile = LAN_100M) -> BrokerClient:
+        host = self.net.create_host(name, link=link)
         client = BrokerClient(host, client_id=name)
         client.connect(broker)
         return client
@@ -212,8 +209,10 @@ def fig3_short(seed: int) -> Fingerprint:
 
 
 def _publish_burst(run: Run, publisher: BrokerClient, start: float,
-                   count: int = 40, ordered_every: int = 0) -> None:
-    for index in range(count):
+                   ordered_every: int = 0) -> None:
+    """Forty video events 10 ms apart; every ``ordered_every``-th one
+    is ordered."""
+    for index in range(40):
         ordered = ordered_every > 0 and index % ordered_every == 0
         run.sim.schedule_at(
             start + index * 0.01, publisher.publish, "/room/video", index,
