@@ -799,12 +799,12 @@ class Broker:
 
     def sync_subscriptions_to_peers(self) -> None:
         """(Re)advertise all known interest — used when topology changes."""
-        for pattern in self._local_subs.all_patterns():
+        for pattern in sorted(self._local_subs.all_patterns()):
             self._flood_advert(
                 SubAdvert(origin_broker=self.broker_id, pattern=pattern, add=True),
                 skip_peer=None,
             )
-        for origin in set(self._remote_interest.values()):
+        for origin in sorted(set(self._remote_interest.values())):
             if origin in self._installed_foreign:
                 continue  # foreign installs never leave this gateway
             for pattern in self._remote_interest.patterns_for(origin):
@@ -827,7 +827,7 @@ class Broker:
         """
         cpu, cost = self.host.cpu, self.profile.control_cost_s
         local_patterns = self._local_subs.all_patterns()
-        for pattern in local_patterns:
+        for pattern in sorted(local_patterns):
             advert = SubAdvert(
                 origin_broker=self.broker_id, pattern=pattern, add=True
             )

@@ -336,3 +336,32 @@ def test_list_and_set_payloads_freeze_too():
 
     payloads = {type(event.payload) for event in received}
     assert payloads == {tuple, frozenset}
+
+
+def test_link_up_offers_local_interest_in_pattern_order(sim, net):
+    """A peer link coming up offers the broker's local interest over it
+    in pattern order.  Set order would make the send order, and so the
+    whole run, depend on ``PYTHONHASHSEED`` (a restarted gateway re-peers
+    with members holding many roaming-room patterns)."""
+    broker = Broker(
+        net.create_host("b0-host"), broker_id="b0", link_state_enabled=True
+    )
+    other = Broker(
+        net.create_host("b1-host"), broker_id="b1", link_state_enabled=True
+    )
+    client = BrokerClient(net.create_host("roamer"), client_id="roamer")
+    client.connect(broker)
+    patterns = [f"/room/r{n}/video" for n in (7, 2, 11, 5, 0, 9, 3)]
+    for pattern in patterns:
+        client.subscribe(pattern, lambda event: None)
+    sim.run_for(1.0)
+    offered = []
+    broker._send_peer = lambda peer, message: offered.append(message)
+    broker.add_peer("b1", other.peer_address)
+    sim.run_for(1.0)
+    order = [
+        message.pattern
+        for message in offered
+        if type(message).__name__ == "SubAdvert"
+    ]
+    assert order == sorted(patterns)
