@@ -388,6 +388,99 @@ def central_hierarchical(seed: int) -> Fingerprint:
     return run.fingerprint(fabric.brokers(), extra=routes)
 
 
+def cluster_churn_takeover(seed: int) -> Fingerprint:
+    """Three clusters whose members roam between rooms: c0's interest
+    crosses the summary budget (collapse), then narrows again (release).
+    c0's active gateway crashes mid-stream, the standby takes over, and
+    the restarted gateway is promoted back while the standby retracts
+    its summary."""
+    run = Run(seed)
+    fabric = BrokerNetwork.clustered(
+        run.net, [3, 3, 3], link=FLAKY,
+        peer_heartbeat_interval_s=0.25, peer_miss_limit=2,
+    )
+    run.sim.run(until=6.0)
+    member = fabric.broker("broker-c0-2")
+    run.client("sub", member, FLAKY).subscribe(
+        "/room/r0/video", run.receiver("sub")
+    )
+    roamers = [run.client(f"roam-{k}", member, FLAKY) for k in range(4)]
+    rooms = {}
+    for k, roamer in enumerate(roamers):
+        rooms[k] = [f"/room/r{k * 5 + j}/video" for j in range(5)]
+        for pattern in rooms[k]:
+            roamer.subscribe(pattern, run.receiver(f"roam-{k}"))
+    remote = run.client("roam-c1", fabric.broker("broker-c1-2"), FLAKY)
+    remote.subscribe("/room/r1/video", run.receiver("roam-c1"))
+
+    def move(k: int, step: int) -> None:
+        roamer = roamers[k]
+        roamer.unsubscribe(rooms[k].pop(0))
+        pattern = f"/room/r{(k * 5 + step) % 24}/video"
+        if pattern not in rooms[k]:
+            rooms[k].append(pattern)
+            roamer.subscribe(pattern, run.receiver(f"roam-{k}"))
+
+    def leave(k: int) -> None:
+        roamer = roamers[k]
+        while rooms[k]:
+            roamer.unsubscribe(rooms[k].pop())
+
+    for step in range(20):
+        run.sim.schedule_at(7.0 + step * 0.1, move, step % 4, step + 5)
+    for k in range(3):
+        run.sim.schedule_at(9.2 + k * 0.1, leave, k)
+    for step in range(10):
+        run.sim.schedule_at(11.0 + step * 0.2, move, 3, step + 20)
+    publisher = run.client("pub", fabric.broker("broker-c2-2"), FLAKY)
+    for index in range(200):
+        run.sim.schedule_at(
+            8.0 + index * 0.05, publisher.publish,
+            f"/room/r{index % 6}/video", index, 300,
+        )
+    run.sim.schedule_at(10.0, fabric.crash_broker, "broker-c0-0")
+    run.sim.schedule_at(14.0, fabric.restart_broker, "broker-c0-0")
+    run.sim.run(until=20.0)
+    return run.fingerprint(fabric.brokers())
+
+
+def geo_clustered(seed: int) -> Fingerprint:
+    """Three 2-broker clusters in us/eu/ap regions, WAN latency applied
+    after the build (as ``repro fleet --regions`` does), then the us
+    region is cut off and healed while reliable and ordered traffic
+    flows both ways."""
+    run = Run(seed)
+    fabric = BrokerNetwork.clustered(
+        run.net, [2, 2, 2], link=FLAKY, regions=["us", "eu", "ap"],
+        peer_heartbeat_interval_s=0.25, peer_miss_limit=2,
+    )
+    for a, b in (("us", "eu"), ("us", "ap"), ("eu", "ap")):
+        run.net.set_region_latency(a, b, 0.045)
+    run.client("sub-us", fabric.broker("broker-c0-1"), FLAKY).subscribe(
+        "/geo/#", run.receiver("sub-us")
+    )
+    run.client("sub-ap", fabric.broker("broker-c2-1"), FLAKY).subscribe(
+        "/geo/#", run.receiver("sub-ap")
+    )
+    pub_eu = run.client("pub-eu", fabric.broker("broker-c1-1"), FLAKY)
+    pub_us = run.client("pub-us", fabric.broker("broker-c0-1"), FLAKY)
+    run.sim.run(until=6.0)
+    for index in range(60):
+        at = 6.0 + index * 0.05
+        run.sim.schedule_at(
+            at, pub_eu.publish, "/geo/feed", index, 300,
+            index % 3 == 0, index % 4 == 0,
+        )
+        run.sim.schedule_at(
+            at + 0.02, pub_us.publish, "/geo/ctrl", index, 200,
+            index % 2 == 0, True,
+        )
+    run.sim.schedule_at(7.0, fabric.partition_regions, "us")
+    run.sim.schedule_at(8.5, fabric.heal)
+    run.sim.run(until=14.0)
+    return run.fingerprint(fabric.brokers())
+
+
 #: Scenario name → (function, canonical seed).
 SCENARIOS: Dict[str, Tuple[Callable[[int], Fingerprint], int]] = {
     "single_lossy": (single_lossy, 1234),
@@ -401,6 +494,8 @@ SCENARIOS: Dict[str, Tuple[Callable[[int], Fingerprint], int]] = {
     "ring_chaos": (ring_chaos, 7),
     "geo_partition": (geo_partition, 42),
     "central_hierarchical": (central_hierarchical, 1234),
+    "cluster_churn_takeover": (cluster_churn_takeover, 1234),
+    "geo_clustered": (geo_clustered, 1234),
 }
 
 

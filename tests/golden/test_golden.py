@@ -46,8 +46,7 @@ def test_seed_bump_moves_fingerprint(name):
     assert fingerprint.digest != RECORDED[name]
 
 
-def test_fingerprint_independent_of_hash_seed():
-    """Set and dict iteration order must never leak into the digest."""
+def _digest_under_other_hash_seed(name):
     hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     src = str(REPO_ROOT / "src")
     env = dict(
@@ -61,8 +60,20 @@ def test_fingerprint_independent_of_hash_seed():
         [
             sys.executable, "-c",
             "from tests.golden.scenarios import run_scenario;"
-            "print(run_scenario('clustered').digest)",
+            f"print(run_scenario({name!r}).digest)",
         ],
         cwd=REPO_ROOT, env=env, capture_output=True, text=True, check=True,
     )
-    assert result.stdout.strip() == RECORDED["clustered"]
+    return result.stdout.strip()
+
+
+def test_fingerprint_independent_of_hash_seed():
+    """Set and dict iteration order must never leak into the digest."""
+    assert _digest_under_other_hash_seed("clustered") == RECORDED["clustered"]
+
+
+def test_churn_fingerprint_independent_of_hash_seed():
+    """A restarted gateway re-peers with a member holding many patterns:
+    the subscription offers must not follow set order."""
+    name = "cluster_churn_takeover"
+    assert _digest_under_other_hash_seed(name) == RECORDED[name]
