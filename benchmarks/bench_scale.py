@@ -251,13 +251,13 @@ class ModeLadder:
             ),
             "events_routed_per_s": round(routed / MEASURE_S, 1),
             "adverts_aggregated": sum(
-                b.adverts_aggregated for b in self.brokers
+                b.statistics()["adverts_aggregated"] for b in self.brokers
             ),
             "cluster_lsas_scoped": sum(
-                b.cluster_lsas_scoped for b in self.brokers
+                b.statistics()["cluster_lsas_scoped"] for b in self.brokers
             ),
             "intercluster_hops": sum(
-                b.intercluster_hops for b in self.brokers
+                b.statistics()["intercluster_hops"] for b in self.brokers
             ),
             "dedup_evictions": sum(
                 b.statistics()["dedup_evictions"] for b in self.brokers

@@ -12,7 +12,13 @@ Responsibilities:
   carrying an explicit target set so no broker receives a duplicate;
 * sequence ordered topics (this broker is the deterministic "sequencer"
   for a topic when it hashes lowest among known brokers);
-* track reliable events per datagram client until acknowledged.
+* track reliable events per datagram client until acknowledged;
+* in autonomous mode, detect dead peers by heartbeat and route over a
+  flooded link-state database (:mod:`repro.broker.flood`).
+
+Opt-in modes are planes built only when configured: ``cluster``
+(:mod:`repro.broker.cluster`) and ``geo`` (:mod:`repro.broker.geo`).
+A flat broker has neither and carries none of their state.
 
 Every hop charges the host CPU according to the broker's
 :class:`~repro.broker.profile.BrokerProfile` — routing cost per event,
@@ -23,14 +29,12 @@ the knobs the Figure 3 calibration turns.
 from __future__ import annotations
 
 import hashlib
-import heapq
-from collections import deque
-from typing import (
-    AbstractSet, Any, Deque, Dict, FrozenSet, Iterable, List, Mapping,
-    Optional, Set, Tuple,
-)
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from repro.broker.cluster import ClusterPlane
 from repro.broker.event import NBEvent, freeze_payload
+from repro.broker.flood import DedupWindow, VersionedTable, shortest_paths
+from repro.broker.geo import GeoPlane
 from repro.broker.links import (
     Busy,
     ClientLink,
@@ -46,7 +50,6 @@ from repro.broker.links import (
     HeartbeatAck,
     LinkStateAdvert,
     LinkStateDigest,
-    LinkType,
     PeerEvent,
     PeerHeartbeat,
     Publish,
@@ -69,13 +72,10 @@ from repro.broker.overload import (
 )
 from repro.broker.profile import BrokerProfile, NARADA_PROFILE
 from repro.broker.reliable import ReliableOutbox
-from repro.broker.route_cache import NextHopGroups, RouteCache, RouteEntry
-from repro.broker.topic import (
-    TopicTrie,
-    summarize_patterns,
-    validate_pattern,
-    validate_topic,
+from repro.broker.route_cache import (
+    SEQUENCER_CACHE_MAX, NextHopGroups, RouteCache, RouteEntry,
 )
+from repro.broker.topic import TopicTrie, validate_pattern
 from repro.obs.metrics import (
     COST_BUCKETS_S,
     LATENCY_BUCKETS_S,
@@ -110,112 +110,10 @@ SEEN_ADVERT_WINDOW = 8192
 #: Per-reachable-broker contribution to the dedup window cap.
 DEDUP_PER_BROKER = 128
 
-#: Bound on cached (topic → sequencer) elections.
-SEQUENCER_CACHE_MAX = 4096
-
-#: Cap on the aggregated interest summary a cluster gateway exports.
-#: Above this many distinct patterns, prefixes are collapsed (widened)
-#: until the summary fits — see
-#: :func:`repro.broker.topic.summarize_patterns`.  Deliberately small:
-#: a collapsed summary over-approximates, and a false positive only
-#: costs one wasted inter-cluster forward that the entry gateway drops,
-#: while a large budget delays collapse until per-cluster interest is
-#: so wide that exact-list churn floods the overlay first.
-INTEREST_SUMMARY_BUDGET = 16
-
-#: Minimum spacing between two summary floods from one gateway.  Below
-#: the collapse budget every subscription change alters the exact
-#: summary, so a churn burst would otherwise export one overlay flood
-#: per op — this coalesces the burst into at most one flood per
-#: interval, trading up to that much added cross-cluster propagation
-#: delay for a bounded overlay rate.
-SUMMARY_REFRESH_MIN_INTERVAL_S = 0.25
-
-#: Hysteresis on summary collapse: once a gateway has exported a
-#: collapsed (widened) summary it keeps collapsing until the cluster's
-#: interest shrinks below ``INTEREST_SUMMARY_BUDGET // 2``.  A cluster
-#: sitting *at* the budget would otherwise flap between the exact
-#: pattern list and the wildcard form on every churn transient, and
-#: each flap makes every remote cluster install/withdraw the full diff
-#: as per-pattern proxy floods — an advert storm out of one
-#: subscription's worth of churn.
-SUMMARY_COLLAPSE_RELEASE = 2
-
 #: Every Nth peer-heartbeat tick also carries a link-state digest, so
 #: LSAs lost to the network (floods are unreliable datagrams) are
 #: repaired by anti-entropy within a few heartbeat intervals.
 ANTI_ENTROPY_TICKS = 4
-
-#: Cost-class quantization ladder for WAN-aware routing (geo mode):
-#: one-way latency upper bound (seconds) → integer cost class.  Costs
-#: derive from *configured* link/fabric latency, never from jittered
-#: samples, and the ladder is coarse on purpose: a route only
-#: re-originates when a link crosses a class boundary, so latency
-#: jitter can never flap the route tables.
-COST_CLASSES = (
-    (0.002, 1),    # same rack / metro LAN
-    (0.010, 2),    # campus
-    (0.030, 4),    # regional WAN
-    (0.060, 8),    # continental WAN
-    (0.120, 16),   # transoceanic
-)
-COST_CLASS_MAX = 32
-
-#: Locality pinning (geo mode): after this many sequenced events on a
-#: topic, the current sequencer checks where the publishes actually
-#: originate, and re-pins the topic to a broker contributing more than
-#: SEQUENCER_PIN_MAJORITY of them.  The counting window resets after
-#: every decision, so a transient publisher burst cannot bounce the pin
-#: — it must dominate a full fresh window (hysteresis).
-SEQUENCER_PIN_WINDOW = 64
-SEQUENCER_PIN_MAJORITY = 0.6
-
-#: Bound on each partition-park queue (ordered events awaiting an
-#: unreachable sequencer; reliable events awaiting unreachable
-#: interested brokers).  Oldest entries drop first under cap pressure,
-#: mirroring the PR-8 bounded-outbox rule.
-PARK_QUEUE_MAX = 2048
-
-
-class _DedupWindow:
-    """LRU dedup set with a hard size cap (least-recently-seen evicted).
-
-    A hit *refreshes* the id's recency: an advert id still echoing
-    around a large mesh stays pinned while one-shot ids age out, so cap
-    pressure can no longer evict a live flood's id and re-admit its
-    echo — which would re-flood it, an advert storm at exactly the mesh
-    sizes the cluster tier targets.  ``evictions`` counts ids dropped
-    under cap pressure (exposed as ``dedup_evictions``); a nonzero rate
-    under steady load means the cap is undersized for the topology.
-    """
-
-    __slots__ = ("_seen", "cap", "evictions")
-
-    def __init__(self, cap: int):
-        self._seen: Dict[int, None] = {}
-        self.cap = cap
-        self.evictions = 0
-
-    def __contains__(self, item: int) -> bool:
-        return item in self._seen
-
-    def __len__(self) -> int:
-        return len(self._seen)
-
-    def add(self, item: int) -> bool:
-        """Record ``item``; False if it was already in the window (its
-        recency is refreshed either way)."""
-        if item in self._seen:
-            # Dicts preserve insertion order: delete + reinsert moves the
-            # id to the most-recently-seen end.
-            del self._seen[item]
-            self._seen[item] = None
-            return False
-        self._seen[item] = None
-        if len(self._seen) > self.cap:
-            del self._seen[next(iter(self._seen))]
-            self.evictions += 1
-        return True
 
 
 class _ClientRecord:
@@ -236,56 +134,30 @@ class _ClientRecord:
         self.last_seen = last_seen
 
 
-def shortest_paths(
-    me: str,
-    claimed: Mapping[str, AbstractSet[str]],
-    costs: Optional[Dict[str, Dict[str, int]]] = None,
-) -> Tuple[Dict[str, str], Dict[str, int]]:
-    """Cost-weighted shortest paths from ``me`` over a two-sided-claim
-    adjacency; returns (destination → first hop, destination → distance).
-
-    The one router of the fabric: autonomous brokers run it over their
-    link-state database, and a centrally routed
-    :class:`~repro.broker.network.BrokerNetwork` runs it over the
-    ground-truth topology.  An edge counts only when both endpoints
-    claim it.  Its weight is the larger of the two endpoints' advertised
-    cost classes, defaulting to 1 when neither side advertises any — so
-    a costless database is a plain hop count.  Ties break on (distance,
-    node, first hop) lexicographically, so every broker derives
-    consistent paths regardless of cost spread.
-    """
-    if costs:
-        def weight(a: str, b: str) -> int:
-            side_a = costs.get(a)
-            side_b = costs.get(b)
-            cost_a = side_a.get(b, 1) if side_a else 1
-            cost_b = side_b.get(a, 1) if side_b else 1
-            return cost_a if cost_a >= cost_b else cost_b
-    else:
-        def weight(a: str, b: str) -> int:
-            return 1
-    routes: Dict[str, str] = {}
-    dist: Dict[str, int] = {me: 0}
-    heap: List[Tuple[int, str, str]] = []
-    for neighbor in sorted(claimed.get(me, ())):
-        if me in claimed.get(neighbor, ()):
-            heapq.heappush(heap, (weight(me, neighbor), neighbor, neighbor))
-    while heap:
-        d, node, first_hop = heapq.heappop(heap)
-        if node in dist:
-            continue
-        dist[node] = d
-        routes[node] = first_hop
-        for neighbor in sorted(claimed.get(node, ())):
-            if neighbor not in dist and node in claimed.get(neighbor, ()):
-                heapq.heappush(
-                    heap, (d + weight(node, neighbor), neighbor, first_hop)
-                )
-    return routes, dist
-
-
 class Broker:
     """One broker node bound to a simulated host."""
+
+    #: Counters the broker itself owns (the planes own theirs).
+    COUNTERS = (
+        "events_routed",
+        "events_delivered",
+        "events_forwarded",
+        "control_messages",
+        "heartbeats_received",
+        "clients_reaped",
+        "outbox_abandons",
+        "peer_heartbeats_received",
+        "peers_evicted",
+        "lsas_originated",
+        "lsas_received",
+        "lsas_deduped",
+        "lsas_stale",
+        "routing_epochs",
+        "sequencer_changes",
+        "traces_started",
+        "traces_completed",
+        "traces_suppressed",
+    )
 
     def __init__(
         self,
@@ -319,8 +191,12 @@ class Broker:
 
         self._udp = UdpSocket(host, udp_port)
         self._udp.on_receive(self._on_udp_message)
-        self._tcp = TcpListener(host, tcp_port, on_connection=self._on_tcp_connection)
-        self._ssl = TcpListener(host, ssl_port, on_connection=self._on_ssl_connection)
+        self._tcp = TcpListener(
+            host, tcp_port, on_connection=lambda c: self._on_stream(c, False)
+        )
+        self._ssl = TcpListener(
+            host, ssl_port, on_connection=lambda c: self._on_stream(c, True)
+        )
         self._peer_socket = UdpSocket(host, peer_port)
         self._peer_socket.on_receive(self._on_peer_message)
 
@@ -332,14 +208,13 @@ class Broker:
         self._sorted_peers: Tuple[str, ...] = ()
         self._routes: Dict[str, str] = {}
         self._routes_gen = 0
-        self._seen_adverts = _DedupWindow(SEEN_ADVERT_WINDOW)
+        self._seen_adverts = DedupWindow(SEEN_ADVERT_WINDOW)
         self._sequences: Dict[str, int] = {}
 
         # Routing fast path: memoized per-topic fan-out plus cached
-        # (topic → sequencer) elections per broker-set epoch.
+        # (topic → sequencer) elections per routing generation.
         self.route_cache = RouteCache()
         self.route_cache_enabled = route_cache_enabled
-        self._broker_set_epoch = 0
         self._sequencer_epoch = -1
         self._sequencers: Dict[str, str] = {}
 
@@ -369,79 +244,27 @@ class Broker:
         self._peer_last_heard: Dict[str, float] = {}
         self._peer_hb_timer = None
         self._hb_tick = 0
-        self._lsdb: Dict[str, Tuple[int, FrozenSet[str]]] = {}
-        self._lsa_epoch = 0
+        #: origin -> (epoch, advertised adjacency)
+        self.lsdb = VersionedTable(
+            self, self._encode_lsa, self._flood_advert, self._originate_lsa
+        )
         self._recompute_pending = False
         if self.peer_heartbeat_interval_s is not None:
             self._arm_peer_heartbeat()
 
-        # Cluster tier (opt-in).  ``cluster_id is None`` is the flat
-        # mesh: every cluster branch below is skipped and behaviour is
-        # bit-identical to the pre-cluster broker (the determinism suite
-        # pins this).  When clustered, SubAdvert/LSA floods are scoped
-        # to intra-cluster links and gateways run a second, overlay-level
-        # control plane: ClusterLsa (gateway adjacency), ClusterInterest-
-        # Advert (prefix-collapsed interest summaries), ClusterDigest
-        # (anti-entropy for both).  Only the *active* gateway (lowest
-        # live gateway id) imports foreign interest and exports events.
+        # Opt-in planes, built only when configured: a flat broker has
+        # neither, so it carries none of their state or branches.
         self.cluster_id = cluster_id
-        self.cluster_gateways = tuple(sorted(cluster_gateways))
-        self._clustered = cluster_id is not None
-        self.is_gateway = (
-            self._clustered and self.broker_id in self.cluster_gateways
-        )
-        self._intercluster_peers: Set[str] = set()
-        self._intra_sorted: Tuple[str, ...] = ()
-        self._gw_lsdb: Dict[str, Tuple[int, FrozenSet[str], str]] = {}
-        self._gw_lsa_epoch = 0
-        #: origin gateway -> (epoch, patterns, cluster_id); foreign *and*
-        #: own-cluster summaries are tracked (standbys keep shadow copies
-        #: for takeover), but only foreign ones are ever installed.
-        self._cluster_interest: Dict[str, Tuple[int, Tuple[str, ...], str]] = {}
-        self._installed_foreign: Set[str] = set()
-        self._proxied: Set[str] = set()
-        self._last_summary: Optional[Tuple[str, ...]] = None
-        self._summary_epoch = 0
-        self._summary_pending = False
-        self._last_summary_flood_at = -SUMMARY_REFRESH_MIN_INTERVAL_S
-        self._summary_collapsed = False
-        self._active_gateway: Optional[str] = None
-
-        # Geo federation (opt-in, PR 10).  ``region is None`` is the
-        # pre-geo fabric: every branch below is skipped, LSAs carry no
-        # costs, Dijkstra weights stay uniform, and no park queue ever
-        # holds an event — the determinism suite pins bit-identity.
-        # With a region set: link-state adverts carry per-adjacency
-        # cost classes (quantized from configured latency), ordered
-        # topics pin their sequencer near the publisher majority, a
-        # minority-side partition parks ordered topics instead of
-        # forking sequence numbers, and reliable cross-region traffic
-        # queues until the partition heals.
         self.region = region
-        self._geo = region is not None
-        self._lsdb_costs: Dict[str, Dict[str, int]] = {}
-        self._gw_lsdb_costs: Dict[str, Dict[str, int]] = {}
-        self._advertised_costs: Dict[str, int] = {}
-        #: High-watermark of every broker ever seen reachable — the
-        #: "stable set" a partition minority measures itself against.
-        self._stable_brokers: Set[str] = set()
-        self._stable_sequencers: Dict[str, str] = {}
-        self._stable_seq_gen = -1  # validated against len(_stable_brokers)
-        #: topic -> (pin epoch, pinned broker)
-        self._sequencer_pins: Dict[str, Tuple[int, str]] = {}
-        #: topic -> origin broker -> sequenced count (current window)
-        self._pin_counts: Dict[str, Dict[str, int]] = {}
-        self._parked_ordered: Deque[Tuple[NBEvent, Optional[str]]] = deque()
-        self._wan_parked: Deque[Tuple[NBEvent, FrozenSet[str]]] = deque()
-        #: Reliable events recently *sent* toward remote targets, kept
-        #: for one peer-eviction window: a regional cut blackholes the
-        #: wire silently, so anything forwarded between the physical cut
-        #: and the heartbeat eviction would otherwise be lost.  When a
-        #: route disappears, the overlapping tail of this buffer is
-        #: re-parked (receiver-side event-id dedup absorbs the replays
-        #: for events that did arrive).
-        self._wan_recent: Deque[Tuple[NBEvent, FrozenSet[str], float]] = deque()
-        self._park_drain_pending = False
+        self.cluster: Optional[ClusterPlane] = (
+            ClusterPlane(self, cluster_id, cluster_gateways)
+            if cluster_id is not None
+            else None
+        )
+        self.is_gateway = self.cluster is not None and self.cluster.is_gateway
+        self.geo: Optional[GeoPlane] = (
+            GeoPlane(self) if region is not None else None
+        )
 
         # Overload protection (opt-out).  The controller is a pure
         # observer below its watermarks: pressure is read inline at the
@@ -472,37 +295,8 @@ class Broker:
         # Statistics: plain integer attributes mutated on the hot paths,
         # all registered (bound) in the metrics registry below so the
         # registry is the single source of truth for snapshots.
-        self.events_routed = 0
-        self.events_delivered = 0
-        self.events_forwarded = 0
-        self.control_messages = 0
-        self.heartbeats_received = 0
-        self.clients_reaped = 0
-        self.outbox_abandons = 0
-        self.peer_heartbeats_received = 0
-        self.peers_evicted = 0
-        self.lsas_originated = 0
-        self.lsas_received = 0
-        self.lsas_deduped = 0
-        self.lsas_stale = 0
-        self.routing_epochs = 0
-        self.sequencer_changes = 0
-        self.traces_started = 0
-        self.traces_completed = 0
-        self.traces_suppressed = 0
-        self.adverts_aggregated = 0
-        self.cluster_lsas_scoped = 0
-        self.intercluster_hops = 0
-        self.gateway_takeovers = 0
-        self.sequencer_pins_set = 0
-        self.ordered_parked = 0
-        self.ordered_park_drained = 0
-        self.ordered_park_drops = 0
-        self.wan_parked = 0
-        self.wan_park_drained = 0
-        self.wan_park_drops = 0
-        self.wan_replays = 0
-        self.cost_reoriginations = 0
+        for counter_name in self.COUNTERS:
+            setattr(self, counter_name, 0)
         self.last_route_change_at = -1.0
         self._last_sequencers: Dict[str, str] = {}
 
@@ -510,42 +304,21 @@ class Broker:
         # collection-wide sampling budget) and the metrics registry.
         self.tracer = tracer
         self.metrics = MetricsRegistry()
-        for counter_name in (
-            "events_routed",
-            "events_delivered",
-            "events_forwarded",
-            "control_messages",
-            "heartbeats_received",
-            "clients_reaped",
-            "outbox_abandons",
-            "peer_heartbeats_received",
-            "peers_evicted",
-            "lsas_originated",
-            "lsas_received",
-            "lsas_deduped",
-            "lsas_stale",
-            "routing_epochs",
-            "sequencer_changes",
-            "traces_started",
-            "traces_completed",
-            "traces_suppressed",
-            "adverts_aggregated",
-            "cluster_lsas_scoped",
-            "intercluster_hops",
-            "gateway_takeovers",
-            "sequencer_pins_set",
-            "ordered_parked",
-            "ordered_park_drained",
-            "ordered_park_drops",
-            "wan_parked",
-            "wan_park_drained",
-            "wan_park_drops",
-            "wan_replays",
-            "cost_reoriginations",
+        # A plane's counters live on the plane and read 0 when the plane
+        # is absent, so every mode has the same statistics keys in the
+        # same order.
+        for owner, names in (
+            (self, self.COUNTERS),
+            (self.cluster, ClusterPlane.COUNTERS),
+            (self.geo, GeoPlane.COUNTERS),
         ):
-            self.metrics.expose(
-                counter_name, lambda name=counter_name: getattr(self, name)
-            )
+            for counter_name in names:
+                self.metrics.expose(
+                    counter_name,
+                    (lambda o=owner, name=counter_name: getattr(o, name))
+                    if owner is not None
+                    else (lambda: 0),
+                )
         self.metrics.expose("route_cache_hits", lambda: self.route_cache.hits)
         self.metrics.expose(
             "route_cache_misses", lambda: self.route_cache.misses
@@ -617,17 +390,13 @@ class Broker:
     @property
     def is_active_gateway(self) -> bool:
         """True while this broker is its cluster's elected active gateway.
-
-        Side-effect free (reads the election result maintained by peer
-        liveness): the telemetry plane uses it to keep exactly one
-        cluster-health aggregator publishing per cluster, with standby
-        gateways shadowing silently until a takeover (DESIGN.md §11).
+        Side-effect free: the telemetry plane keeps exactly one
+        cluster-health aggregator publishing per cluster (DESIGN.md §11).
         """
         return (
-            self._clustered
-            and self.is_gateway
+            self.cluster is not None
             and not self._closed
-            and self._active_gateway == self.broker_id
+            and self.cluster.active_gateway == self.broker_id
         )
 
     def client_ids(self) -> List[str]:
@@ -680,84 +449,60 @@ class Broker:
         registered by :class:`repro.broker.network.BrokerNetwork`).
 
         ``intercluster=True`` marks a gateway-to-gateway link between
-        clusters: no member LSA, per-topic SubAdvert, or raw
-        subscription sync ever crosses it — the gateway overlay
-        reconciles through :class:`~repro.broker.links.ClusterDigest`
-        exchange instead.
+        clusters, which only gateway-tier state crosses.  A flat broker
+        has no cluster tier and ignores the flag.
         """
         previous = self._peers.get(peer_id)
         if previous is not None:
             self._peer_by_address.pop(previous, None)
         self._peers[peer_id] = peer_address
         self._peer_by_address[peer_address] = peer_id
-        if intercluster:
-            self._intercluster_peers.add(peer_id)
-        else:
-            self._intercluster_peers.discard(peer_id)
+        if self.cluster is not None:
+            self.cluster.set_link(peer_id, intercluster)
         self._peer_last_heard[peer_id] = self.sim.now
         self._peers_changed()
         if not self.link_state_enabled:
             return
-        cpu, cost = self.host.cpu, self.profile.control_cost_s
-        if self._clustered and intercluster:
-            # Inter-cluster link-up: only the gateway tier changed.
-            self._originate_gw_lsa()
-            cpu.execute(
-                cost, self._send_peer, peer_id, self._make_cluster_digest()
-            )
+        cluster = self.cluster
+        if cluster is not None and intercluster:
+            cluster.link_up(peer_id)  # only the gateway tier changed
             return
         # A link came up (first wiring, or a partition healed): flood
         # our new adjacency, reconcile databases via digest exchange,
         # and re-offer known interest over the new edge so the other
         # side routes events toward us again.
         self._originate_lsa()
-        cpu.execute(cost, self._send_peer, peer_id, self._make_digest())
+        self._send_control(peer_id, self._make_digest())
         self._sync_subscriptions_to_peer(peer_id)
-        if (
-            self._clustered
-            and self.is_gateway
-            and peer_id in self.cluster_gateways
-        ):
-            # A co-gateway link is also a gateway-overlay edge.
-            self._originate_gw_lsa()
-            cpu.execute(
-                cost, self._send_peer, peer_id, self._make_cluster_digest()
-            )
+        if cluster is not None and cluster.on_overlay(peer_id):
+            cluster.link_up(peer_id)  # a co-gateway link is both
 
     def remove_peer(self, peer_id: str) -> None:
         address = self._peers.pop(peer_id, None)
         if address is not None:
             self._peer_by_address.pop(address, None)
-        was_intercluster = peer_id in self._intercluster_peers
-        self._intercluster_peers.discard(peer_id)
+        cluster = self.cluster
+        was_intercluster = cluster is not None and cluster.set_link(
+            peer_id, False
+        )
         self._peer_last_heard.pop(peer_id, None)
         self._peers_changed()
         if not self.link_state_enabled:
             return
         if was_intercluster:
-            self._originate_gw_lsa()
+            cluster.originate_lsa()
             return
         self._originate_lsa()
-        if (
-            self._clustered
-            and self.is_gateway
-            and peer_id in self.cluster_gateways
-        ):
-            self._originate_gw_lsa()
+        if cluster is not None and cluster.on_overlay(peer_id):
+            cluster.originate_lsa()
 
     def has_peer(self, peer_id: str) -> bool:
         return peer_id in self._peers
 
     def _peers_changed(self) -> None:
         self._sorted_peers = tuple(sorted(self._peers))
-        if self._clustered:
-            self._intra_sorted = tuple(
-                peer
-                for peer in self._sorted_peers
-                if peer not in self._intercluster_peers
-            )
-        else:
-            self._intra_sorted = self._sorted_peers
+        if self.cluster is not None:
+            self.cluster.peers_changed()
         self._routes_gen += 1
 
     def set_routes(self, routes: Dict[str, str]) -> None:
@@ -773,7 +518,6 @@ class Broker:
             self.last_route_change_at = self.sim.now
         self._routes = dict(routes)
         self._routes_gen += 1
-        self._broker_set_epoch += 1
         # The dedup window must outlive a flood's echo lifetime, which
         # grows with the reachable set: resize relative to mesh size.
         self._seen_adverts.cap = max(
@@ -781,15 +525,8 @@ class Broker:
         )
         reachable = set(self._routes)
         reachable.add(self.broker_id)
-        if self._geo:
-            # Geo mode retains interest advertised by currently-
-            # unreachable brokers: a cut-off region is expected back, and
-            # the WAN park queue needs to know exactly which interested
-            # brokers are owed a reliable event when the partition heals.
-            self._stable_brokers |= reachable
-            self._replay_wan_recent(reachable)
-            if self._parked_ordered or self._wan_parked:
-                self._schedule_park_drain()
+        if self.geo is not None:
+            self.geo.routes_changed(reachable)  # retains remote interest
             return
         for origin in [
             o for o in set(self._remote_interest.values()) if o not in reachable
@@ -799,19 +536,11 @@ class Broker:
 
     def sync_subscriptions_to_peers(self) -> None:
         """(Re)advertise all known interest — used when topology changes."""
-        for pattern in sorted(self._local_subs.all_patterns()):
+        for origin, pattern in self._interest_offers():
             self._flood_advert(
-                SubAdvert(origin_broker=self.broker_id, pattern=pattern, add=True),
+                SubAdvert(origin_broker=origin, pattern=pattern, add=True),
                 skip_peer=None,
             )
-        for origin in sorted(set(self._remote_interest.values())):
-            if origin in self._installed_foreign:
-                continue  # foreign installs never leave this gateway
-            for pattern in self._remote_interest.patterns_for(origin):
-                self._flood_advert(
-                    SubAdvert(origin_broker=origin, pattern=pattern, add=True),
-                    skip_peer=None,
-                )
 
     def _sync_subscriptions_to_peer(self, peer_id: str) -> None:
         """Offer all known interest over one (newly up) peer link.
@@ -819,50 +548,47 @@ class Broker:
         The receiver re-floods anything it did not already know with
         ``skip_peer`` set to us, which is how subscription state crosses
         a healed partition without a full mesh-wide re-flood.
-
-        Clustered: foreign-gateway installs are *not* offered (members
-        must route foreign-bound events through the gateway's proxy
-        adverts, not toward gateway ids they have no routes for);
-        instead the proxied pattern set is offered under our own origin.
         """
-        cpu, cost = self.host.cpu, self.profile.control_cost_s
-        local_patterns = self._local_subs.all_patterns()
-        for pattern in sorted(local_patterns):
-            advert = SubAdvert(
-                origin_broker=self.broker_id, pattern=pattern, add=True
-            )
+        for origin, pattern in self._interest_offers(with_proxies=True):
+            advert = SubAdvert(origin_broker=origin, pattern=pattern, add=True)
             self._seen_adverts.add(advert.advert_id)
-            cpu.execute(cost, self._send_peer, peer_id, advert)
-        for origin in sorted(set(self._remote_interest.values())):
-            if origin in self._installed_foreign:
-                continue
-            for pattern in self._remote_interest.patterns_for(origin):
-                advert = SubAdvert(
-                    origin_broker=origin, pattern=pattern, add=True
-                )
-                self._seen_adverts.add(advert.advert_id)
-                cpu.execute(cost, self._send_peer, peer_id, advert)
-        for pattern in sorted(self._proxied - set(local_patterns)):
-            advert = SubAdvert(
-                origin_broker=self.broker_id, pattern=pattern, add=True
+            self._send_control(peer_id, advert)
+
+    def _interest_offers(
+        self, with_proxies: bool = False
+    ) -> List[Tuple[str, str]]:
+        """(origin, pattern) for every interest we advertise: local
+        patterns, then remote interest by origin.  Foreign-gateway
+        installs never leave a gateway (members have no routes to those
+        ids); the proxied patterns are offered under our origin instead.
+        """
+        local = self._local_subs.all_patterns()
+        offers = [(self.broker_id, pattern) for pattern in sorted(local)]
+        origins = set(self._remote_interest.values())
+        proxied: Set[str] = set()
+        if self.cluster is not None:
+            origins -= self.cluster.installed_foreign
+            proxied = self.cluster.proxied
+        for origin in sorted(origins):
+            offers.extend(
+                (origin, pattern)
+                for pattern in self._remote_interest.patterns_for(origin)
             )
-            self._seen_adverts.add(advert.advert_id)
-            cpu.execute(cost, self._send_peer, peer_id, advert)
+        if with_proxies:
+            offers.extend(
+                (self.broker_id, pattern) for pattern in sorted(proxied - local)
+            )
+        return offers
 
     # --------------------------------------------------------- client I/O
 
     def _on_udp_message(self, payload: Any, src: Address, datagram: Datagram) -> None:
         self._dispatch_client_message(payload, src, None)
 
-    def _on_tcp_connection(self, connection: TcpConnection) -> None:
-        connection.on_message = (
-            lambda msg, size, conn: self._dispatch_client_message(msg, None, conn)
-        )
-
-    def _on_ssl_connection(self, connection: TcpConnection) -> None:
+    def _on_stream(self, connection: TcpConnection, ssl: bool) -> None:
         connection.on_message = (
             lambda msg, size, conn: self._dispatch_client_message(
-                msg, None, conn, ssl=True
+                msg, None, conn, ssl=ssl
             )
         )
 
@@ -914,22 +640,11 @@ class Broker:
                     message, src, connection, ssl, retry_after
                 )
                 return
-        envelope = self.profile.envelope_bytes
-        if connection is not None:
-            if ssl:
-                link: ClientLink = SslClientLink(
-                    client_id, envelope, connection, self.host
-                )
-            else:
-                link = TcpClientLink(client_id, envelope, connection)
-            outbox = None  # TCP/SSL links are already reliable
-        else:
-            reply_to = message.reply_to if message.reply_to is not None else src
-            if reply_to is None:
-                return
-            link = UdpClientLink(
-                client_id, envelope, self._udp, reply_to, kind=message.link_type
-            )
+        link = self._client_link(message, src, connection, ssl)
+        if link is None:
+            return
+        outbox: Optional[ReliableOutbox] = None  # TCP/SSL are reliable
+        if connection is None:
             outbox = ReliableOutbox(
                 self.sim,
                 lambda event, l=link: l.send(EventDelivery(event)),
@@ -944,10 +659,8 @@ class Broker:
         self._clients[client_id] = _ClientRecord(
             client_id, link, outbox, last_seen=self.sim.now
         )
-        self.host.cpu.execute(
-            self.profile.control_cost_s,
-            link.send,
-            ConnectAck(client_id=client_id, broker_id=self.broker_id),
+        self._reply(
+            link, ConnectAck(client_id=client_id, broker_id=self.broker_id)
         )
 
     def _refuse_admission(
@@ -960,30 +673,31 @@ class Broker:
     ) -> None:
         """Answer a refused connect with ``Busy`` over a throwaway link
         (no client record is created — the whole point is not to)."""
+        link = self._client_link(message, src, connection, ssl)
+        if link is None:
+            return
+        self._reply(link, Busy(message.client_id, "connect", retry_after_s))
+
+    def _client_link(
+        self,
+        message: Connect,
+        src: Optional[Address],
+        connection: Optional[TcpConnection],
+        ssl: bool,
+    ) -> Optional[ClientLink]:
+        """The link a connect arrived on: SSL or TCP over its connection,
+        else UDP back to its reply address (None when it has none)."""
         client_id = message.client_id
         envelope = self.profile.envelope_bytes
         if connection is not None:
             if ssl:
-                link: ClientLink = SslClientLink(
-                    client_id, envelope, connection, self.host
-                )
-            else:
-                link = TcpClientLink(client_id, envelope, connection)
-        else:
-            reply_to = message.reply_to if message.reply_to is not None else src
-            if reply_to is None:
-                return
-            link = UdpClientLink(
-                client_id, envelope, self._udp, reply_to, kind=message.link_type
-            )
-        self.host.cpu.execute(
-            self.profile.control_cost_s,
-            link.send,
-            Busy(
-                client_id=client_id,
-                operation="connect",
-                retry_after_s=retry_after_s,
-            ),
+                return SslClientLink(client_id, envelope, connection, self.host)
+            return TcpClientLink(client_id, envelope, connection)
+        reply_to = message.reply_to if message.reply_to is not None else src
+        if reply_to is None:
+            return None
+        return UdpClientLink(
+            client_id, envelope, self._udp, reply_to, kind=message.link_type
         )
 
     def _on_subscribe(self, message: Subscribe) -> None:
@@ -994,58 +708,41 @@ class Broker:
         if self.overload is not None:
             admitted, retry_after = self.overload.admit(self.sim.now)
             if not admitted:
-                self.host.cpu.execute(
-                    self.profile.control_cost_s,
-                    record.link.send,
-                    Busy(
-                        client_id=message.client_id,
-                        operation="subscribe",
-                        retry_after_s=retry_after,
-                    ),
+                self._reply(
+                    record.link,
+                    Busy(message.client_id, "subscribe", retry_after),
                 )
                 return
         pattern = validate_pattern(message.pattern)
-        had_interest = self._has_local_interest(pattern)
+        advertised = self._advertises(pattern)
         self._local_subs.add(pattern, message.client_id)
-        # A pattern already advertised as a gateway proxy needs no flood:
-        # the mesh already routes it here (empty in flat mode).
-        if not had_interest and pattern not in self._proxied:
-            self._flood_advert(
-                SubAdvert(origin_broker=self.broker_id, pattern=pattern, add=True),
-                skip_peer=None,
-            )
-        self._schedule_summary_refresh()
-        self.host.cpu.execute(
-            self.profile.control_cost_s,
-            record.link.send,
+        if not advertised:
+            self._flood_own(pattern, add=True)
+        self._interest_changed()
+        self._reply(
+            record.link,
             SubscribeAck(client_id=message.client_id, pattern=pattern),
         )
 
     def _on_unsubscribe(self, message: Unsubscribe) -> None:
         self.control_messages += 1
         self._local_subs.remove(message.pattern, message.client_id)
-        if (
-            not self._has_local_interest(message.pattern)
-            and message.pattern not in self._proxied
-        ):
-            self._flood_advert(
-                SubAdvert(
-                    origin_broker=self.broker_id, pattern=message.pattern, add=False
-                ),
-                skip_peer=None,
-            )
-        self._schedule_summary_refresh()
+        self._withdraw_if_unadvertised(message.pattern)
+        self._interest_changed()
 
     def _on_heartbeat(self, message: Heartbeat) -> None:
         self.heartbeats_received += 1
         record = self._clients.get(message.client_id)
         if record is None:
             return  # reaped or never connected: silence makes it fail over
-        self.host.cpu.execute(
-            self.profile.control_cost_s,
-            record.link.send,
+        self._reply(
+            record.link,
             HeartbeatAck(client_id=message.client_id, broker_id=self.broker_id),
         )
+
+    def _reply(self, link: ClientLink, message: Any) -> None:
+        """Answer a client control message (charged as control work)."""
+        self.host.cpu.execute(self.profile.control_cost_s, link.send, message)
 
     def _on_outbox_abandon(self, client_id: str) -> None:
         """A reliable delivery exhausted its retries: the client's link is
@@ -1080,21 +777,32 @@ class Broker:
             record.outbox.close()
         for pattern in self._local_subs.patterns_for(client_id):
             self._local_subs.remove(pattern, client_id)
-            if (
-                not self._has_local_interest(pattern)
-                and pattern not in self._proxied
-            ):
-                self._flood_advert(
-                    SubAdvert(
-                        origin_broker=self.broker_id, pattern=pattern, add=False
-                    ),
-                    skip_peer=None,
-                )
-        self._schedule_summary_refresh()
+            self._withdraw_if_unadvertised(pattern)
+        self._interest_changed()
         record.link.close()
 
-    def _has_local_interest(self, pattern: str) -> bool:
-        return self._local_subs.has_pattern(pattern)
+    def _advertises(self, pattern: str) -> bool:
+        """True while the mesh routes ``pattern`` here: a local client
+        holds it, or it is advertised as a cluster gateway proxy."""
+        return self._local_subs.has_pattern(pattern) or (
+            self.cluster is not None and pattern in self.cluster.proxied
+        )
+
+    def _withdraw_if_unadvertised(self, pattern: str) -> None:
+        if not self._advertises(pattern):
+            self._flood_own(pattern, add=False)
+
+    def _flood_own(self, pattern: str, add: bool) -> None:
+        """Flood our own interest gained (``add``) or lost in ``pattern``."""
+        self._flood_advert(
+            SubAdvert(origin_broker=self.broker_id, pattern=pattern, add=add),
+            skip_peer=None,
+        )
+
+    def _interest_changed(self) -> None:
+        """Member interest moved: a cluster gateway re-summarizes it."""
+        if self.cluster is not None:
+            self.cluster.schedule_summary_refresh()
 
     # ----------------------------------------------------------- publish
 
@@ -1115,21 +823,20 @@ class Broker:
             self._sequence_then_disseminate(
                 event, exclude=message.client_id, hop=hop
             )
-        elif hop is not None:
-            self.host.cpu.execute_traced(
-                self.profile.route_cost_s,
-                self._disseminate,
-                event,
-                message.client_id,
-                hop=hop,
-            )
         else:
-            self.host.cpu.execute(
-                self.profile.route_cost_s,
-                self._disseminate,
-                event,
-                message.client_id,
+            self._charge(
+                self.profile.route_cost_s, hop,
+                self._disseminate, event, message.client_id,
             )
+
+    def _charge(
+        self, cost_s: float, hop: Optional[HopRecord], fn: Any, *args: Any
+    ) -> None:
+        """Queue work on the host CPU, attributed to ``hop`` if traced."""
+        if hop is not None:
+            self.host.cpu.execute_traced(cost_s, fn, *args, hop=hop)
+        else:
+            self.host.cpu.execute(cost_s, fn, *args)
 
     def _begin_hop(self, event: NBEvent) -> Optional[HopRecord]:
         """Open a hop record for a traced event arriving at this broker."""
@@ -1144,63 +851,37 @@ class Broker:
         hop: Optional[HopRecord] = None,
     ) -> None:
         sequencer = self.sequencer_for(event.topic)
-        if self._geo:
-            if sequencer != self.broker_id and sequencer not in self._routes:
-                # A pinned sequencer we cannot currently reach: never
-                # fall back to a local election while the pin holds —
-                # that is exactly the sequence-number fork to avoid.
-                self._park_ordered(event, exclude)
-                return
-            if (
-                self._in_minority()
-                and self._stable_sequencer_for(event.topic) != sequencer
-            ):
-                # Minority side of a partition: the stable set elects a
-                # broker beyond the cut, who is still sequencing for the
-                # majority.  Park instead of forking.
-                self._park_ordered(event, exclude)
-                return
+        if self.geo is not None and self.geo.must_park(event.topic, sequencer):
+            self.geo.park_ordered(event, exclude)
+            return
         if sequencer == self.broker_id:
-            if self._geo:
-                self._note_sequenced(event.topic, self.broker_id)
-            event.sequence = self._sequences.get(event.topic, 0)
-            event.sequenced_by = self.broker_id
-            self._sequences[event.topic] = event.sequence + 1
-            if hop is not None:
-                self.host.cpu.execute_traced(
-                    self.profile.route_cost_s,
-                    self._disseminate, event, exclude, hop=hop,
-                )
-            else:
-                self.host.cpu.execute(
-                    self.profile.route_cost_s, self._disseminate, event, exclude
-                )
+            self._sequence_here(event, self.broker_id, exclude, hop)
         else:
             request = SequenceRequest(event=event, origin_broker=self.broker_id)
-            if hop is not None:
-                hop.link = f"seq:{sequencer}"
-                self.host.cpu.execute_traced(
-                    self.profile.forward_cost_s,
-                    self._send_toward_stamped,
-                    sequencer, request, hop,
-                    hop=hop,
-                )
-            else:
-                self.host.cpu.execute(
-                    self.profile.forward_cost_s,
-                    self._send_peer_toward,
-                    sequencer,
-                    request,
-                )
+            self._to_sequencer(sequencer, request, hop)
+
+    def _to_sequencer(
+        self, sequencer: str, request: SequenceRequest,
+        hop: Optional[HopRecord],
+    ) -> None:
+        cost = self.profile.forward_cost_s
+        if hop is None:
+            self.host.cpu.execute(
+                cost, self._send_peer_toward, sequencer, request
+            )
+            return
+        hop.link = f"seq:{sequencer}"
+        self.host.cpu.execute_traced(
+            cost, self._send_toward_stamped, sequencer, request, hop, hop=hop,
+        )
 
     def sequencer_for(self, topic: str) -> str:
         """Deterministic sequencer election for an ordered topic.
 
         The election only depends on the topic and the known-broker set
         (plus any locality pin in geo mode), so it is cached per
-        (topic, routing generation).  Validating against ``_routes_gen``
-        rather than the coarser broker-set epoch closes the heal window:
-        the generation bumps the instant a peer link comes back
+        (topic, routing generation).  The generation closes the heal
+        window: it bumps the instant a peer link comes back
         (``add_peer`` → ``_peers_changed``), before the debounced route
         recompute runs, so a cached pre-partition election can never be
         served after the topology visibly changed.
@@ -1210,12 +891,8 @@ class Broker:
             self._sequencer_epoch = self._routes_gen
         sequencer = self._sequencers.get(topic)
         if sequencer is None:
-            if self._geo:
-                pin = self._sequencer_pins.get(topic)
-                if pin is not None and (
-                    pin[1] == self.broker_id or pin[1] in self._routes
-                ):
-                    sequencer = pin[1]
+            if self.geo is not None:
+                sequencer = self.geo.pinned(topic)
             if sequencer is None:
                 sequencer = self._hash_elect(topic, self.known_brokers())
             self._sequencers[topic] = sequencer
@@ -1232,17 +909,8 @@ class Broker:
         return sequencer
 
     def _hash_elect(self, topic: str, candidates: List[str]) -> str:
-        if self._clustered and self.is_gateway:
-            # Gateways also know foreign gateways; elections must stay
-            # cluster-local so every member of the cluster (gateway or
-            # not) derives the same sequencer.  Ordering domains are per
-            # cluster — see DESIGN.md.
-            foreign = {
-                origin
-                for origin, entry in self._gw_lsdb.items()
-                if entry[2] != self.cluster_id
-            }
-            candidates = [b for b in candidates if b not in foreign]
+        if self.cluster is not None:
+            candidates = self.cluster.electable(candidates)
         return min(
             candidates,
             key=lambda broker: hashlib.sha256(
@@ -1250,191 +918,22 @@ class Broker:
             ).hexdigest(),
         )
 
-    # ------------------------------------- geo partition survival (PR 10)
-
-    def _in_minority(self) -> bool:
-        """True when we can reach at most half of the stable broker set:
-        the conservative side of a partition, which must park ordered
-        topics rather than fork their sequence numbers."""
-        return (len(self._routes) + 1) * 2 <= len(self._stable_brokers)
-
-    def _stable_sequencer_for(self, topic: str) -> str:
-        """The sequencer the *full* (high-watermark) broker set elects —
-        what the unreachable majority is presumed to still be using."""
-        pin = self._sequencer_pins.get(topic)
-        if pin is not None:
-            return pin[1]
-        if self._stable_seq_gen != len(self._stable_brokers):
-            self._stable_sequencers.clear()
-            self._stable_seq_gen = len(self._stable_brokers)
-        sequencer = self._stable_sequencers.get(topic)
-        if sequencer is None:
-            candidates = sorted(self._stable_brokers | {self.broker_id})
-            sequencer = self._hash_elect(topic, candidates)
-            self._stable_sequencers[topic] = sequencer
-            if len(self._stable_sequencers) > SEQUENCER_CACHE_MAX:
-                del self._stable_sequencers[
-                    next(iter(self._stable_sequencers))
-                ]
-        return sequencer
-
-    def _park_ordered(self, event: NBEvent, exclude: Optional[str]) -> None:
-        self.ordered_parked += 1
-        self._parked_ordered.append((event, exclude))
-        if len(self._parked_ordered) > PARK_QUEUE_MAX:
-            self._parked_ordered.popleft()
-            self.ordered_park_drops += 1
-
-    def _park_wan(self, event: NBEvent, missing: FrozenSet[str]) -> None:
-        self.wan_parked += 1
-        self._wan_parked.append((event, missing))
-        if len(self._wan_parked) > PARK_QUEUE_MAX:
-            self._wan_parked.popleft()
-            self.wan_park_drops += 1
-
-    def _wan_recent_window(self) -> float:
-        """How long a sent event stays replayable: the worst-case lag
-        between a physical cut and heartbeat eviction of the dead peer,
-        plus slack for the route recompute that follows."""
-        if self.peer_heartbeat_interval_s is not None:
-            return (self.peer_miss_limit + 2) * self.peer_heartbeat_interval_s
-        return 2.0
-
-    def _note_wan_sent(self, event: NBEvent, targets: FrozenSet[str]) -> None:
-        horizon = self.sim.now - self._wan_recent_window()
-        while self._wan_recent and self._wan_recent[0][2] < horizon:
-            self._wan_recent.popleft()
-        self._wan_recent.append((event, targets, self.sim.now))
-        if len(self._wan_recent) > PARK_QUEUE_MAX:
-            self._wan_recent.popleft()
-
-    def _replay_wan_recent(self, reachable: Set[str]) -> None:
-        """Re-park recently forwarded reliable events whose targets just
-        fell out of the route table — they were sent into the window
-        between the physical cut and heartbeat eviction, so the wire
-        silently ate them.  Receiver-side event-id dedup absorbs the
-        replays for copies that did arrive before the cut."""
-        if not self._wan_recent:
-            return
-        horizon = self.sim.now - self._wan_recent_window()
-        kept: Deque[Tuple[NBEvent, FrozenSet[str], float]] = deque()
-        for event, targets, at in self._wan_recent:
-            if at < horizon:
-                continue
-            lost = targets - reachable
-            if lost:
-                self.wan_replays += 1
-                self._park_wan(event, frozenset(lost))
-            remaining = targets & reachable
-            if remaining:
-                kept.append((event, remaining, at))
-        self._wan_recent = kept
-
-    def _schedule_park_drain(self) -> None:
-        if self._park_drain_pending:
-            return
-        self._park_drain_pending = True
-        self.sim.schedule(0.0, self._run_park_drain)
-
-    def _run_park_drain(self) -> None:
-        self._park_drain_pending = False
-        if self._closed:
-            return
-        self._drain_parked_ordered()
-        self._drain_wan_parked()
-
-    def _drain_parked_ordered(self) -> None:
-        """Re-run parked ordered publishes through sequencing.  Events
-        whose sequencer is still beyond the cut simply re-park — the
-        drain is only triggered by topology changes, so this cannot
-        spin."""
-        if not self._parked_ordered:
-            return
-        pending = list(self._parked_ordered)
-        self._parked_ordered.clear()
-        for event, exclude in pending:
-            self.ordered_park_drained += 1
-            self._sequence_then_disseminate(event, exclude)
-
-    def _drain_wan_parked(self) -> None:
-        """Forward parked reliable events to interested brokers that
-        became reachable again; remainders re-park for a later heal."""
-        if not self._wan_parked:
-            return
-        reachable = set(self._routes)
-        pending = list(self._wan_parked)
-        self._wan_parked.clear()
-        for event, missing in pending:
-            targets = missing & reachable
-            if targets:
-                self.wan_park_drained += 1
-                self._forward_to_targets(event, set(targets))
-                missing = missing - targets
-            if missing:
-                self._wan_parked.append((event, frozenset(missing)))
-
-    def _note_sequenced(self, topic: str, origin: str) -> None:
-        """Count where sequenced publishes originate (we are the topic's
-        sequencer); after a full window, re-pin the topic to a broker
-        contributing a sustained majority of them."""
-        counts = self._pin_counts.setdefault(topic, {})
-        counts[origin] = counts.get(origin, 0) + 1
-        total = sum(counts.values())
-        if total < SEQUENCER_PIN_WINDOW:
-            return
-        self._pin_counts[topic] = {}
-        leader = next(
-            (
-                broker
-                for broker, count in sorted(counts.items())
-                if count > total * SEQUENCER_PIN_MAJORITY
-            ),
-            None,
-        )
-        if (
-            leader is None
-            or leader == self.broker_id
-            or leader not in self._routes
-        ):
-            return
-        current = self._sequencer_pins.get(topic)
-        pin = SequencerPin(
-            topic=topic,
-            broker=leader,
-            epoch=(current[0] if current is not None else 0) + 1,
-            next_sequence=self._sequences.get(topic, 0),
-            origin_broker=self.broker_id,
-        )
-        self._apply_pin(pin)
-        self._flood_advert(pin, skip_peer=None)
-
-    def _apply_pin(self, pin: SequencerPin) -> None:
-        self._sequencer_pins[pin.topic] = (pin.epoch, pin.broker)
-        self.sequencer_pins_set += 1
-        self._sequencers.pop(pin.topic, None)
-        self._stable_sequencers.pop(pin.topic, None)
-        if pin.broker == self.broker_id:
-            # Sequence-counter handoff: numbering continues where the
-            # previous sequencer left off instead of restarting at 0.
-            if pin.next_sequence > self._sequences.get(pin.topic, 0):
-                self._sequences[pin.topic] = pin.next_sequence
-
-    def _on_sequencer_pin(
-        self, pin: SequencerPin, from_peer: Optional[str]
+    def _sequence_here(
+        self,
+        event: NBEvent,
+        origin: str,
+        exclude: Optional[str],
+        hop: Optional[HopRecord],
     ) -> None:
-        if not self._seen_adverts.add(pin.advert_id):
-            return
-        self.control_messages += 1
-        if not self._geo:
-            return  # geo-unaware brokers never honor pins
-        current = self._sequencer_pins.get(pin.topic)
-        if current is not None:
-            if pin.epoch < current[0]:
-                return
-            if pin.epoch == current[0] and pin.broker >= current[1]:
-                return  # tie: lexicographically smaller broker wins
-        self._apply_pin(pin)
-        self._flood_advert(pin, skip_peer=from_peer)
+        """Stamp the next sequence number (we sequence the topic)."""
+        if self.geo is not None:
+            self.geo.note_sequenced(event.topic, origin)
+        event.sequence = self._sequences.get(event.topic, 0)
+        event.sequenced_by = self.broker_id
+        self._sequences[event.topic] = event.sequence + 1
+        self._charge(
+            self.profile.route_cost_s, hop, self._disseminate, event, exclude
+        )
 
     # ------------------------------------------------- routing fast path
 
@@ -1458,17 +957,9 @@ class Broker:
         local = tuple(sorted(self._local_subs.match(topic)))
         remote = self._remote_interest.match(topic)
         remote.discard(self.broker_id)
-        if self._clustered and self.is_gateway:
-            # Tier partition for gateway re-export: foreign-gateway
-            # targets (installed aggregated interest) vs own-cluster
-            # members.  Standbys install nothing, so inter is empty and
-            # intra degenerates to the full remote set.
-            inter = frozenset(
-                origin for origin in remote if origin in self._installed_foreign
-            )
-            intra: Optional[FrozenSet[str]] = frozenset(remote) - inter
-        else:
-            inter = intra = None
+        intra = inter = None
+        if self.cluster is not None:
+            intra, inter = self.cluster.split_targets(remote)
         entry = RouteEntry(
             generation, local, frozenset(remote),
             self._compute_groups(remote),
@@ -1513,18 +1004,10 @@ class Broker:
             * len(entry.local_targets)
             + self.profile.forward_cost_s * len(entry.next_hop_groups)
         )
-        if self._geo and event.reliable and entry.remote_targets:
-            routed: Set[str] = set()
-            for _hop, group in entry.next_hop_groups:
-                routed |= group
-            missing = entry.remote_targets - routed
-            if not internal_topic(event.topic):
-                if missing:
-                    # Interested brokers beyond a partition cut: queue
-                    # the reliable event until the route comes back.
-                    self._park_wan(event, frozenset(missing))
-                if routed:
-                    self._note_wan_sent(event, frozenset(routed))
+        if self.geo is not None and event.reliable:
+            self.geo.track_reliable(
+                event, entry.remote_targets, entry.next_hop_groups
+            )
         self._deliver_local(event, exclude, entry)
         if entry.next_hop_groups:
             self._forward_groups(event, entry.next_hop_groups)
@@ -1628,48 +1111,32 @@ class Broker:
                 )
         else:
             groups = self._compute_groups(key)
-        if self._geo and event.reliable:
-            routed: Set[str] = set()
-            for _hop, group in groups:
-                routed |= group
-            missing = key - routed
-            if not internal_topic(event.topic):
-                if missing:
-                    self._park_wan(event, missing)
-                if routed:
-                    self._note_wan_sent(event, frozenset(routed))
+        if self.geo is not None and event.reliable:
+            self.geo.track_reliable(event, key, groups)
         self._forward_groups(event, groups)
 
     def _forward_groups(self, event: NBEvent, groups: NextHopGroups) -> None:
-        if event.trace is None:
-            for next_hop, group_targets in groups:
-                peer_event = PeerEvent(event=event, targets=group_targets)
-                self.events_forwarded += 1
-                self.host.cpu.execute(
-                    self.profile.forward_cost_s,
-                    self._send_peer, next_hop, peer_event,
-                )
-            return
-        # Traced fan-out: clone the event per branch (same event_id, so
-        # reliability/ordering dedup is unaffected) with a forked trace,
-        # so concurrent branches never interleave hop records.
+        cpu, cost = self.host.cpu, self.profile.forward_cost_s
         for next_hop, group_targets in groups:
+            self.events_forwarded += 1
+            if event.trace is None:
+                peer_event = PeerEvent(event=event, targets=group_targets)
+                cpu.execute(cost, self._send_peer, next_hop, peer_event)
+                continue
+            # Traced fan-out: clone the event per branch (same event_id,
+            # so reliability/ordering dedup is unaffected) with a forked
+            # trace, so concurrent branches never interleave hop records.
             branch = event.fork_for_branch()
             hop = branch.trace.open_hop
             peer_event = PeerEvent(event=branch, targets=group_targets)
-            self.events_forwarded += 1
             if hop is not None and hop.departed_at is None:
                 hop.link = next_hop
-                self.host.cpu.execute_traced(
-                    self.profile.forward_cost_s,
-                    self._send_peer_stamped, next_hop, peer_event, hop,
+                cpu.execute_traced(
+                    cost, self._send_peer_stamped, next_hop, peer_event, hop,
                     hop=hop,
                 )
             else:
-                self.host.cpu.execute(
-                    self.profile.forward_cost_s,
-                    self._send_peer, next_hop, peer_event,
-                )
+                cpu.execute(cost, self._send_peer, next_hop, peer_event)
 
     # --------------------------------------------------------- peer plane
 
@@ -1725,12 +1192,14 @@ class Broker:
             self._on_link_state_advert(payload, from_peer=from_peer)
         elif isinstance(payload, LinkStateDigest):
             self._on_link_state_digest(payload, from_peer=from_peer)
-        elif isinstance(payload, ClusterLsa):
-            self._on_cluster_lsa(payload, from_peer=from_peer)
-        elif isinstance(payload, ClusterInterestAdvert):
-            self._on_cluster_interest(payload, from_peer=from_peer)
+        elif isinstance(payload, (ClusterLsa, ClusterInterestAdvert)):
+            if not self._seen_adverts.add(payload.advert_id):
+                self.lsas_deduped += 1
+            elif self.cluster is not None:
+                self.cluster.on_advert(payload, from_peer)
         elif isinstance(payload, ClusterDigest):
-            self._on_cluster_digest(payload, from_peer=from_peer)
+            if self.cluster is not None:
+                self.cluster.on_digest(payload, from_peer)
 
     def _on_peer_event(
         self, peer_event: PeerEvent, from_peer: Optional[str] = None
@@ -1742,22 +1211,16 @@ class Broker:
             return  # shed in transit: neither delivered nor re-forwarded
         hop = self._begin_hop(event)
         targets = set(peer_event.targets)
-        if self._clustered and from_peer in self._intercluster_peers:
-            self.intercluster_hops += 1
-        reexported = False
-        if self.broker_id in targets:
+        targeted = self.broker_id in targets
+        extra = (
+            self.cluster.on_peer_event(event, from_peer, targeted)
+            if self.cluster is not None
+            else None
+        )
+        if targeted:
             targets.discard(self.broker_id)
-            if self._clustered and self.is_gateway:
-                # Tier boundary: being a target at a gateway also means
-                # "re-export".  Arrivals over an inter-cluster link fan
-                # out to own-cluster members with matching interest;
-                # arrivals from inside the cluster are exported to
-                # remote-gateway targets — but only by the active
-                # gateway, so a standby never duplicates the export.
-                extra = self._reexport_targets(event, from_peer)
-                if extra:
-                    targets |= extra
-                    reexported = True
+            if extra:
+                targets |= extra
             if hop is not None:
                 # Deliver on a fork when we also forward onward, so the
                 # onward branches keep their own in-progress hop.
@@ -1773,7 +1236,7 @@ class Broker:
                 )
             self.events_routed += 1
         if targets:
-            if reexported:
+            if extra:
                 # The re-export resolved a fresh fan-out at the tier
                 # boundary: charge it like any other routing decision.
                 self.host.cpu.execute(
@@ -1788,41 +1251,15 @@ class Broker:
         hop = self._begin_hop(event)
         sequencer = self.sequencer_for(event.topic)
         if sequencer != self.broker_id:
-            if self._geo and sequencer not in self._routes:
+            if self.geo is not None and sequencer not in self._routes:
                 # Mid-flight topology change cut the sequencer off:
                 # park here rather than silently dropping the forward.
-                self._park_ordered(event, None)
+                self.geo.park_ordered(event, None)
                 return
             # Not ours (topology may have changed); forward along.
-            if hop is not None:
-                hop.link = f"seq:{sequencer}"
-                self.host.cpu.execute_traced(
-                    self.profile.forward_cost_s,
-                    self._send_toward_stamped, sequencer, request, hop,
-                    hop=hop,
-                )
-            else:
-                self.host.cpu.execute(
-                    self.profile.forward_cost_s,
-                    self._send_peer_toward,
-                    sequencer,
-                    request,
-                )
+            self._to_sequencer(sequencer, request, hop)
             return
-        if self._geo:
-            self._note_sequenced(event.topic, request.origin_broker)
-        event.sequence = self._sequences.get(event.topic, 0)
-        event.sequenced_by = self.broker_id
-        self._sequences[event.topic] = event.sequence + 1
-        if hop is not None:
-            self.host.cpu.execute_traced(
-                self.profile.route_cost_s, self._disseminate, event, None,
-                hop=hop,
-            )
-        else:
-            self.host.cpu.execute(
-                self.profile.route_cost_s, self._disseminate, event, None
-            )
+        self._sequence_here(event, request.origin_broker, None, hop)
 
     def _on_sub_advert(
         self, advert: SubAdvert, from_peer: Optional[str] = None
@@ -1852,52 +1289,43 @@ class Broker:
         # Reflood to everyone except the peer it arrived from — sending
         # it back is pure waste (the sender already deduplicates it).
         self._flood_advert(advert, skip_peer=from_peer)
-        self._schedule_summary_refresh()
-        if self._geo and advert.add and self._wan_parked:
-            # Fresh interest after a heal may unlock parked deliveries.
-            self._schedule_park_drain()
+        self._interest_changed()
+        if self.geo is not None and advert.add:
+            self.geo.interest_added()
+
+    def _on_sequencer_pin(
+        self, pin: SequencerPin, from_peer: Optional[str]
+    ) -> None:
+        if not self._seen_adverts.add(pin.advert_id):
+            return
+        self.control_messages += 1
+        if self.geo is not None:  # geo-unaware brokers never honor pins
+            self.geo.on_pin(pin, from_peer)
 
     def _flood_advert(self, advert: Any, skip_peer: Optional[str]) -> None:
-        """Flood a dedup-windowed advert (SubAdvert or LinkStateAdvert) to
-        every peer except the one it arrived from.
-
-        Clustered: the flood is scoped to intra-cluster links — member
-        subscription state and member adjacency never cross a cluster
-        boundary; the gateway overlay carries aggregated summaries and
-        cluster-level LSAs instead.
-        """
-        self._seen_adverts.add(advert.advert_id)
-        if self._clustered:
-            peers = self._intra_sorted
-            if self._intercluster_peers and isinstance(advert, LinkStateAdvert):
-                self.cluster_lsas_scoped += 1
+        """Flood a member-tier advert (SubAdvert, LinkStateAdvert or
+        SequencerPin) to every peer except the one it arrived from;
+        clustered, to intra-cluster peers only."""
+        if self.cluster is not None:
+            peers = self.cluster.member_flood_peers(advert)
         else:
             peers = self._sorted_peers
-        for peer_id in peers:
-            if peer_id == skip_peer:
-                continue
-            self.host.cpu.execute(
-                self.profile.control_cost_s, self._send_peer, peer_id, advert
-            )
+        self._flood(advert, peers, skip_peer)
 
-    def _gateway_overlay_peers(self) -> List[str]:
-        """Direct peers on the gateway overlay: inter-cluster links plus
-        co-gateways of our own cluster we hold an intra link to."""
-        overlay = set(self._intercluster_peers)
-        for gateway in self.cluster_gateways:
-            if gateway != self.broker_id and gateway in self._peers:
-                overlay.add(gateway)
-        return sorted(overlay)
-
-    def _flood_gateway(self, advert: Any, skip_peer: Optional[str]) -> None:
-        """Flood a gateway-tier advert over the gateway overlay."""
+    def _flood(
+        self, advert: Any, peers: Iterable[str], skip_peer: Optional[str]
+    ) -> None:
+        """The one flood: mark the advert seen, send it to ``peers``."""
         self._seen_adverts.add(advert.advert_id)
-        for peer_id in self._gateway_overlay_peers():
-            if peer_id == skip_peer:
-                continue
-            self.host.cpu.execute(
-                self.profile.control_cost_s, self._send_peer, peer_id, advert
-            )
+        for peer_id in peers:
+            if peer_id != skip_peer:
+                self._send_control(peer_id, advert)
+
+    def _send_control(self, peer_id: str, message: Any) -> None:
+        """Send a control message to a peer, charged as control work."""
+        self.host.cpu.execute(
+            self.profile.control_cost_s, self._send_peer, peer_id, message
+        )
 
     # --------------------------------- peer failure detection (heartbeats)
 
@@ -1925,37 +1353,20 @@ class Broker:
         send_digest = (
             self.link_state_enabled and self._hb_tick % ANTI_ENTROPY_TICKS == 0
         )
-        if self._geo and send_digest:
-            # Re-originate only when an adjacency's *cost class* moved —
-            # classes derive from configured latencies, not samples, so
-            # this fires on real reconfiguration (a path override, a
-            # region change), never on jitter.  No flap storms.
-            current = self._link_cost_classes(self._intra_neighbors())
-            if current != self._advertised_costs:
-                self.cost_reoriginations += 1
-                self._originate_lsa()
-        cpu, cost = self.host.cpu, self.profile.control_cost_s
+        if self.geo is not None and send_digest:
+            self.geo.check_costs()
+        cluster = self.cluster
         for peer_id in self._sorted_peers:
-            cpu.execute(cost, self._send_peer, peer_id, beat)
+            self._send_control(peer_id, beat)
             if not send_digest:
                 continue
-            if self._clustered and peer_id in self._intercluster_peers:
-                # Inter-cluster links repair gateway-tier state only.
-                cpu.execute(
-                    cost, self._send_peer, peer_id, self._make_cluster_digest()
-                )
-                continue
-            cpu.execute(cost, self._send_peer, peer_id, self._make_digest())
-            if (
-                self._clustered
-                and self.is_gateway
-                and peer_id in self.cluster_gateways
-            ):
-                # Co-gateways also reconcile the gateway tier, so a
-                # standby's shadow state survives lost overlay floods.
-                cpu.execute(
-                    cost, self._send_peer, peer_id, self._make_cluster_digest()
-                )
+            # Inter-cluster links repair gateway-tier state only;
+            # co-gateways reconcile both tiers, so a standby's shadow
+            # state survives lost overlay floods.
+            if cluster is None or peer_id not in cluster.intercluster_peers:
+                self._send_control(peer_id, self._make_digest())
+            if cluster is not None and cluster.on_overlay(peer_id):
+                self._send_control(peer_id, cluster.make_digest())
         self._arm_peer_heartbeat()
 
     def _evict_peer(self, peer_id: str) -> None:
@@ -1971,74 +1382,29 @@ class Broker:
     # ------------------------------------------- link-state routing (LSAs)
 
     def _intra_neighbors(self) -> FrozenSet[str]:
-        """Adjacency advertised in member LSAs: all peers in flat mode,
-        intra-cluster peers only when clustered (inter links belong to
-        the gateway tier and must not leak into member LSAs)."""
-        if self._clustered:
-            return frozenset(
-                peer
-                for peer in self._peers
-                if peer not in self._intercluster_peers
-            )
+        """Adjacency advertised in member LSAs (intra-cluster only)."""
+        if self.cluster is not None:
+            return self.cluster.intra_neighbors()
         return frozenset(self._peers)
 
     @staticmethod
-    def _cost_class(latency_s: float) -> int:
-        """Quantize a configured one-way latency into a routing cost class.
-
-        Classes come from *configured* link/fabric latencies only — never
-        from per-packet samples — so jitter cannot move an adjacency
-        between classes and cost changes are as rare as topology changes.
-        """
-        for ceiling, cls in COST_CLASSES:
-            if latency_s < ceiling:
-                return cls
-        return COST_CLASS_MAX
-
-    def _link_cost_classes(self, peers: Iterable[str]) -> Dict[str, int]:
-        """Cost class per adjacency, from the simnet's configured path
-        latency plus our own access-link latency."""
-        network = self.host.network
-        own = self.host.link.latency_s
-        costs: Dict[str, int] = {}
-        for peer_id in peers:
-            address = self._peers.get(peer_id)
-            if address is None:
-                continue
-            latency = network.fabric_latency(self.host.name, address.host)
-            costs[peer_id] = self._cost_class(latency + own)
-        return costs
+    def _encode_lsa(
+        origin: str, epoch: int, neighbors: FrozenSet[str],
+        costs: Optional[Dict[str, int]],
+    ) -> LinkStateAdvert:
+        return LinkStateAdvert(
+            origin_broker=origin, epoch=epoch, neighbors=neighbors,
+            costs=costs,
+        )
 
     def _originate_lsa(self) -> None:
         """Flood a fresh advert for our current adjacency."""
-        self._lsa_epoch += 1
-        self.lsas_originated += 1
         neighbors = self._intra_neighbors()
-        costs = self._link_cost_classes(neighbors) if self._geo else None
-        self._lsdb[self.broker_id] = (self._lsa_epoch, neighbors)
-        if costs:
-            self._advertised_costs = dict(costs)
-            self._lsdb_costs[self.broker_id] = dict(costs)
-        else:
-            self._advertised_costs = {}
-            self._lsdb_costs.pop(self.broker_id, None)
-        self._flood_advert(
-            LinkStateAdvert(
-                origin_broker=self.broker_id,
-                epoch=self._lsa_epoch,
-                neighbors=neighbors,
-                costs=costs or None,
-            ),
-            skip_peer=None,
-        )
-        self._schedule_recompute()
+        self.lsdb.originate(neighbors, neighbors)
 
     def _make_digest(self) -> LinkStateDigest:
-        self._lsdb[self.broker_id] = (self._lsa_epoch, self._intra_neighbors())
-        return LinkStateDigest(
-            origin_broker=self.broker_id,
-            epochs={origin: entry[0] for origin, entry in self._lsdb.items()},
-        )
+        epochs = self.lsdb.digest_epochs(self._intra_neighbors())
+        return LinkStateDigest(origin_broker=self.broker_id, epochs=epochs)
 
     def _on_link_state_advert(
         self, lsa: LinkStateAdvert, from_peer: Optional[str]
@@ -2048,57 +1414,25 @@ class Broker:
             return
         self.control_messages += 1
         self.lsas_received += 1
-        origin = lsa.origin_broker
-        if origin == self.broker_id:
-            # An echo of our own adjacency at an epoch we never issued in
-            # this incarnation means we restarted while the mesh still
-            # holds our past life's entry.  Jump past it and re-originate
-            # so everyone converges on the live adjacency.
-            if lsa.epoch >= self._lsa_epoch:
-                self._lsa_epoch = lsa.epoch
-                self._originate_lsa()
-            return
-        current = self._lsdb.get(origin)
-        if current is not None and lsa.epoch <= current[0]:
-            self.lsas_stale += 1
-            return  # stale or already known
-        self._lsdb[origin] = (lsa.epoch, lsa.neighbors)
-        if lsa.costs:
-            self._lsdb_costs[origin] = dict(lsa.costs)
-        else:
-            self._lsdb_costs.pop(origin, None)
-        self._flood_advert(lsa, skip_peer=from_peer)
-        self._schedule_recompute()
+        if self.lsdb.accept(
+            lsa, lsa.origin_broker, lsa.neighbors, lsa.costs, from_peer
+        ):
+            self._schedule_recompute()
 
     def _on_link_state_digest(
         self, digest: LinkStateDigest, from_peer: Optional[str]
     ) -> None:
-        if from_peer is None or from_peer in self._intercluster_peers:
+        if from_peer is None or (
+            self.cluster is not None
+            and from_peer in self.cluster.intercluster_peers
+        ):
             return  # member LSDBs never reconcile across a cluster boundary
         self.control_messages += 1
         self._make_digest()  # refresh our own entry before comparing
-        cpu, cost = self.host.cpu, self.profile.control_cost_s
-        theirs = digest.epochs
-        for origin in sorted(self._lsdb):
-            epoch, neighbors = self._lsdb[origin]
-            if theirs.get(origin, -1) < epoch:
-                lsa = LinkStateAdvert(
-                    origin_broker=origin,
-                    epoch=epoch,
-                    neighbors=neighbors,
-                    costs=self._lsdb_costs.get(origin),
-                )
-                self._seen_adverts.add(lsa.advert_id)
-                cpu.execute(cost, self._send_peer, from_peer, lsa)
-        behind = any(
-            origin not in self._lsdb or self._lsdb[origin][0] < epoch
-            for origin, epoch in theirs.items()
-        )
-        if behind:
-            # Ask for the newer entries with our own digest.  Terminates:
-            # a reply is only sent when strictly behind, and epochs only
-            # ever advance.
-            cpu.execute(cost, self._send_peer, from_peer, self._make_digest())
+        self.lsdb.push_newer(digest.epochs, from_peer)
+        if self.lsdb.behind(digest.epochs):
+            # Ask for the newer entries with our own digest.
+            self._send_control(from_peer, self._make_digest())
 
     def _schedule_recompute(self) -> None:
         """Debounced local route recompute (many LSAs, one Dijkstra)."""
@@ -2123,13 +1457,12 @@ class Broker:
         lexicographically so every broker derives consistent paths.
         """
         claimed: Dict[str, FrozenSet[str]] = {
-            origin: entry[1] for origin, entry in self._lsdb.items()
+            origin: entry[1] for origin, entry in self.lsdb.entries.items()
         }
         claimed[self.broker_id] = self._intra_neighbors()
-        routes, dist = shortest_paths(self.broker_id, claimed, self._lsdb_costs)
-        gw_dist: Dict[str, int] = {}
-        if self._clustered and self.is_gateway:
-            routes, gw_dist = self._merge_gateway_routes(routes)
+        routes, dist = shortest_paths(self.broker_id, claimed, self.lsdb.costs)
+        if self.cluster is not None:
+            routes = self.cluster.overlay_routes(routes)
         self.set_routes(routes)
         # Forget unreachable origins: their interest was just purged by
         # set_routes, and dropping the stale LSDB entry means a restarted
@@ -2138,420 +1471,10 @@ class Broker:
         # fabric "unreachable" for seconds, and the retained entries keep
         # the foreign-gateway filter and stable-set election truthful
         # while it lasts (the LSA echo rule still resolves restarts).
-        if not self._geo:
-            for origin in [
-                o for o in self._lsdb if o != self.broker_id and o not in dist
-            ]:
-                del self._lsdb[origin]
-                self._lsdb_costs.pop(origin, None)
-            if self._clustered and self.is_gateway:
-                for origin in [
-                    o
-                    for o in self._gw_lsdb
-                    if o != self.broker_id and o not in gw_dist
-                ]:
-                    del self._gw_lsdb[origin]
-                    self._gw_lsdb_costs.pop(origin, None)
-                    self._cluster_interest.pop(origin, None)
-        self._check_active_gateway()
-        if self._clustered and self.is_gateway:
-            # A foreign gateway may have vanished (its entries were just
-            # purged) without our own active/standby role changing:
-            # reconcile installs and proxies against the surviving set.
-            self._reconcile_foreign_install()
-        self._schedule_summary_refresh()
-
-    def _merge_gateway_routes(
-        self, routes: Dict[str, str]
-    ) -> Tuple[Dict[str, str], Dict[str, int]]:
-        """Overlay the gateway-tier shortest paths onto the intra table.
-
-        The gateway overlay's first hops are always direct peers (inter
-        links or co-gateways), so the merged table stays a plain
-        destination → next-peer map and the whole existing forwarding
-        fast path works unchanged.  Same-cluster destinations keep their
-        intra routes — the overlay only contributes *foreign* gateways.
-        """
-        claimed: Dict[str, FrozenSet[str]] = {
-            origin: entry[1] for origin, entry in self._gw_lsdb.items()
-        }
-        claimed[self.broker_id] = frozenset(self._gateway_overlay_peers())
-        cluster_of: Dict[str, str] = {
-            origin: entry[2] for origin, entry in self._gw_lsdb.items()
-        }
-        gw_routes, gw_dist = shortest_paths(
-            self.broker_id, claimed, self._gw_lsdb_costs
-        )
-        merged = dict(routes)
-        for gateway, first_hop in gw_routes.items():
-            if cluster_of.get(gateway) == self.cluster_id:
-                continue  # same-cluster: intra routing wins
-            merged.setdefault(gateway, first_hop)
-        return merged, gw_dist
-
-    # ---------------------------------------- cluster tier (gateway plane)
-
-    def _foreign_origins(self) -> Set[str]:
-        """Gateways in ``_cluster_interest`` belonging to other clusters."""
-        return {
-            origin
-            for origin, entry in self._cluster_interest.items()
-            if entry[2] != self.cluster_id
-        }
-
-    def _originate_gw_lsa(self) -> None:
-        """Flood a fresh gateway-tier advert for our overlay adjacency."""
-        if not (self._clustered and self.is_gateway):
-            return
-        self._gw_lsa_epoch += 1
-        self.lsas_originated += 1
-        neighbors = frozenset(self._gateway_overlay_peers())
-        costs = self._link_cost_classes(neighbors) if self._geo else None
-        self._gw_lsdb[self.broker_id] = (
-            self._gw_lsa_epoch, neighbors, self.cluster_id,
-        )
-        if costs:
-            self._gw_lsdb_costs[self.broker_id] = dict(costs)
-        else:
-            self._gw_lsdb_costs.pop(self.broker_id, None)
-        self._flood_gateway(
-            ClusterLsa(
-                origin_gateway=self.broker_id,
-                cluster_id=self.cluster_id,
-                epoch=self._gw_lsa_epoch,
-                gw_neighbors=neighbors,
-                costs=costs or None,
-            ),
-            skip_peer=None,
-        )
-        self._schedule_recompute()
-
-    def _make_cluster_digest(self) -> ClusterDigest:
-        self._gw_lsdb[self.broker_id] = (
-            self._gw_lsa_epoch,
-            frozenset(self._gateway_overlay_peers()),
-            self.cluster_id,
-        )
-        interest_epochs = {
-            origin: entry[0]
-            for origin, entry in self._cluster_interest.items()
-        }
-        if self._summary_epoch:
-            interest_epochs[self.broker_id] = self._summary_epoch
-        return ClusterDigest(
-            origin_gateway=self.broker_id,
-            lsa_epochs={
-                origin: entry[0] for origin, entry in self._gw_lsdb.items()
-            },
-            interest_epochs=interest_epochs,
-        )
-
-    def _on_cluster_lsa(
-        self, lsa: ClusterLsa, from_peer: Optional[str]
-    ) -> None:
-        if not self._seen_adverts.add(lsa.advert_id):
-            self.lsas_deduped += 1
-            return
-        if not (self._clustered and self.is_gateway):
-            return  # members are never on the gateway overlay
-        self.control_messages += 1
-        self.lsas_received += 1
-        origin = lsa.origin_gateway
-        if origin == self.broker_id:
-            # Echo from a past incarnation (we restarted): jump past it
-            # and re-originate so the overlay converges on the live
-            # adjacency — same rule as the member tier.
-            if lsa.epoch >= self._gw_lsa_epoch:
-                self._gw_lsa_epoch = lsa.epoch
-                self._originate_gw_lsa()
-            return
-        current = self._gw_lsdb.get(origin)
-        if current is not None and lsa.epoch <= current[0]:
-            self.lsas_stale += 1
-            return
-        self._gw_lsdb[origin] = (
-            lsa.epoch, frozenset(lsa.gw_neighbors), lsa.cluster_id,
-        )
-        if lsa.costs:
-            self._gw_lsdb_costs[origin] = dict(lsa.costs)
-        else:
-            self._gw_lsdb_costs.pop(origin, None)
-        self._flood_gateway(lsa, skip_peer=from_peer)
-        self._schedule_recompute()
-
-    def _on_cluster_interest(
-        self, advert: ClusterInterestAdvert, from_peer: Optional[str]
-    ) -> None:
-        if not self._seen_adverts.add(advert.advert_id):
-            self.lsas_deduped += 1
-            return
-        if not (self._clustered and self.is_gateway):
-            return
-        self.control_messages += 1
-        origin = advert.origin_gateway
-        if origin == self.broker_id:
-            # Past-incarnation echo: jump the epoch and force a resend so
-            # remote clusters converge on our live summary.
-            if advert.epoch >= self._summary_epoch:
-                self._summary_epoch = advert.epoch
-                self._last_summary = None
-                self._schedule_summary_refresh()
-            return
-        current = self._cluster_interest.get(origin)
-        if current is not None and advert.epoch <= current[0]:
-            self.lsas_stale += 1
-            return
-        self._cluster_interest[origin] = (
-            advert.epoch, tuple(advert.patterns), advert.cluster_id,
-        )
-        self._flood_gateway(advert, skip_peer=from_peer)
-        if (
-            advert.cluster_id != self.cluster_id
-            and self._active_gateway == self.broker_id
-        ):
-            self._reconcile_foreign_install()
-
-    def _on_cluster_digest(
-        self, digest: ClusterDigest, from_peer: Optional[str]
-    ) -> None:
-        """Gateway-tier anti-entropy: push strictly-newer entries to the
-        peer, and ask back (with our digest) when strictly behind.
-        Terminates for the same reason the member tier does — replies
-        are only sent when strictly behind and epochs only advance."""
-        if from_peer is None or not (self._clustered and self.is_gateway):
-            return
-        self.control_messages += 1
-        self._make_cluster_digest()  # refresh our own entries first
-        cpu, cost = self.host.cpu, self.profile.control_cost_s
-        their_lsas = digest.lsa_epochs
-        for origin in sorted(self._gw_lsdb):
-            epoch, neighbors, cluster = self._gw_lsdb[origin]
-            if their_lsas.get(origin, -1) < epoch:
-                lsa = ClusterLsa(
-                    origin_gateway=origin,
-                    cluster_id=cluster,
-                    epoch=epoch,
-                    gw_neighbors=neighbors,
-                    costs=self._gw_lsdb_costs.get(origin),
-                )
-                self._seen_adverts.add(lsa.advert_id)
-                cpu.execute(cost, self._send_peer, from_peer, lsa)
-        their_interest = digest.interest_epochs
-        for origin in sorted(self._cluster_interest):
-            epoch, patterns, cluster = self._cluster_interest[origin]
-            if their_interest.get(origin, -1) < epoch:
-                advert = ClusterInterestAdvert(
-                    origin_gateway=origin,
-                    cluster_id=cluster,
-                    epoch=epoch,
-                    patterns=patterns,
-                )
-                self._seen_adverts.add(advert.advert_id)
-                cpu.execute(cost, self._send_peer, from_peer, advert)
-        if (
-            self._summary_epoch
-            and their_interest.get(self.broker_id, -1) < self._summary_epoch
-        ):
-            advert = ClusterInterestAdvert(
-                origin_gateway=self.broker_id,
-                cluster_id=self.cluster_id,
-                epoch=self._summary_epoch,
-                patterns=self._last_summary or (),
-            )
-            self._seen_adverts.add(advert.advert_id)
-            cpu.execute(cost, self._send_peer, from_peer, advert)
-        behind = any(
-            origin not in self._gw_lsdb or self._gw_lsdb[origin][0] < epoch
-            for origin, epoch in their_lsas.items()
-        ) or any(
-            self._interest_epoch_of(origin) < epoch
-            for origin, epoch in their_interest.items()
-        )
-        if behind:
-            cpu.execute(
-                cost, self._send_peer, from_peer, self._make_cluster_digest()
-            )
-
-    def _interest_epoch_of(self, origin: str) -> int:
-        if origin == self.broker_id:
-            return self._summary_epoch
-        entry = self._cluster_interest.get(origin)
-        return entry[0] if entry is not None else -1
-
-    def _check_active_gateway(self) -> None:
-        """(Re)elect our cluster's active gateway: the lowest gateway id
-        that is us or intra-reachable.  Only the active gateway imports
-        foreign interest, proxies it to members, exports events, and
-        publishes the cluster's summary; standbys are pure transit with
-        shadow state, ready for takeover."""
-        if not (self._clustered and self.is_gateway):
-            return
-        live = [
-            gateway
-            for gateway in self.cluster_gateways
-            if gateway == self.broker_id or gateway in self._routes
-        ]
-        active = min(live) if live else self.broker_id
-        previous = self._active_gateway
-        if active == previous:
-            return
-        self._active_gateway = active
-        if active == self.broker_id:
-            if previous is not None:
-                self.gateway_takeovers += 1
-            self._reconcile_foreign_install()
-            self._last_summary = None  # force a (re)send of our summary
-            self._schedule_summary_refresh()
-        elif previous == self.broker_id:
-            # Demoted (a lower gateway healed): uninstall foreign
-            # interest, withdraw proxies, and retract our summary so
-            # remote clusters stop exporting toward us — otherwise both
-            # gateways stay targeted and every event delivers twice.
-            self._reconcile_foreign_install()
-            if self._summary_epoch:
-                self._summary_epoch += 1
-                self._last_summary = ()
-                self._flood_gateway(
-                    ClusterInterestAdvert(
-                        origin_gateway=self.broker_id,
-                        cluster_id=self.cluster_id,
-                        epoch=self._summary_epoch,
-                        patterns=(),
-                    ),
-                    skip_peer=None,
-                )
-
-    def _schedule_summary_refresh(self) -> None:
-        """Debounced recompute of our aggregated interest summary (many
-        subscription changes, one summary flood), rate-limited to one
-        flood per ``SUMMARY_REFRESH_MIN_INTERVAL_S`` so churn below the
-        collapse budget cannot export one overlay flood per op.  No-op
-        for members and for the flat mesh."""
-        if not (self._clustered and self.is_gateway) or self._summary_pending:
-            return
-        self._summary_pending = True
-        delay = max(
-            0.0,
-            self._last_summary_flood_at
-            + SUMMARY_REFRESH_MIN_INTERVAL_S
-            - self.sim.now,
-        )
-        self.sim.schedule(delay, self._run_summary_refresh)
-
-    def _run_summary_refresh(self) -> None:
-        self._summary_pending = False
-        if self._closed:
-            return
-        self._refresh_interest_summary()
-
-    def _refresh_interest_summary(self) -> None:
-        """Recompute and (when changed) flood this cluster's aggregated
-        interest summary.  Active gateway only."""
-        if self._active_gateway != self.broker_id:
-            return
-        patterns = set(self._local_subs.all_patterns())
-        foreign = self._foreign_origins()
-        for origin in set(self._remote_interest.values()):
-            if origin in foreign:
-                continue  # foreign installs are not member interest
-            patterns.update(self._remote_interest.patterns_for(origin))
-        budget = INTEREST_SUMMARY_BUDGET
-        if self._summary_collapsed:
-            # Hysteresis: a cluster hovering at the budget must not flap
-            # between the exact list and the wildcard form on every
-            # churn transient — stay collapsed until interest genuinely
-            # narrows.
-            budget //= SUMMARY_COLLAPSE_RELEASE
-        summary = summarize_patterns(patterns, budget)
-        if summary == self._last_summary:
-            return
-        self._summary_collapsed = len(summary) < len(patterns)
-        self._summary_epoch += 1
-        self._last_summary = summary
-        self._last_summary_flood_at = self.sim.now
-        self.adverts_aggregated += len(patterns)
-        self._flood_gateway(
-            ClusterInterestAdvert(
-                origin_gateway=self.broker_id,
-                cluster_id=self.cluster_id,
-                epoch=self._summary_epoch,
-                patterns=summary,
-            ),
-            skip_peer=None,
-        )
-
-    def _reconcile_foreign_install(self) -> None:
-        """Make ``_remote_interest``'s foreign-origin entries match what
-        this gateway should install — every foreign summary when active,
-        none when standby — then re-derive the proxied pattern set and
-        flood the proxy-advert deltas into the cluster."""
-        active = self._active_gateway == self.broker_id
-        wanted_origins = self._foreign_origins() if active else set()
-        for origin in sorted(self._installed_foreign - wanted_origins):
-            for pattern in list(self._remote_interest.patterns_for(origin)):
-                self._remote_interest.remove(pattern, origin)
-            self._installed_foreign.discard(origin)
-        for origin in sorted(wanted_origins):
-            current = set(self._remote_interest.patterns_for(origin))
-            wanted = set(self._cluster_interest[origin][1])
-            for pattern in sorted(current - wanted):
-                self._remote_interest.remove(pattern, origin)
-            for pattern in sorted(wanted - current):
-                self._remote_interest.add(pattern, origin)
-            self._installed_foreign.add(origin)
-        self._sync_proxies()
-
-    def _sync_proxies(self) -> None:
-        """Advertise installed foreign interest into the cluster under
-        our own origin, so members route matching events toward us.
-
-        The flood rules keep our *effective* advertised interest — local
-        subscriptions ∪ proxied patterns — consistent on both edges: a
-        proxy add only floods when the pattern was not already
-        advertised locally, and a proxy removal only withdraws when no
-        local client still holds the pattern (the subscribe/unsubscribe
-        paths apply the mirror-image checks against ``_proxied``).
-        """
-        wanted: Set[str] = set()
-        for origin in self._installed_foreign:
-            wanted.update(self._remote_interest.patterns_for(origin))
-        for pattern in sorted(self._proxied - wanted):
-            self._proxied.discard(pattern)
-            if not self._has_local_interest(pattern):
-                self._flood_advert(
-                    SubAdvert(
-                        origin_broker=self.broker_id, pattern=pattern, add=False
-                    ),
-                    skip_peer=None,
-                )
-        for pattern in sorted(wanted - self._proxied):
-            fresh = not self._has_local_interest(pattern)
-            self._proxied.add(pattern)
-            if fresh:
-                self._flood_advert(
-                    SubAdvert(
-                        origin_broker=self.broker_id, pattern=pattern, add=True
-                    ),
-                    skip_peer=None,
-                )
-
-    def _reexport_targets(self, event: NBEvent, from_peer: Optional[str]) -> FrozenSet[str]:
-        """Extra targets a gateway adds when it is itself targeted.
-
-        Inter-cluster arrival → fan out to own-cluster members with
-        matching interest; intra arrival at the *active* gateway →
-        export to remote gateways whose aggregated interest matches.
-        Standbys receiving intra traffic add nothing, so exports are
-        never duplicated.
-        """
-        entry = self.resolve_route(event.topic)
-        if from_peer is not None and from_peer in self._intercluster_peers:
-            extra = entry.intra_targets
-        elif self._active_gateway == self.broker_id:
-            extra = entry.inter_targets
-        else:
-            extra = None
-        return extra if extra is not None else frozenset()
+        if self.geo is None:
+            self.lsdb.forget_unreachable(dist)
+        if self.cluster is not None:
+            self.cluster.routes_recomputed()
 
     # ------------------------------------------------------------- admin
 

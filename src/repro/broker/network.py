@@ -5,7 +5,7 @@ Builds a graph of brokers over simulated hosts and wires peer links — the
 
 * **Central** (default, ``autonomous=False``): this object computes every
   broker's shortest-path next-hop table with the router the brokers run
-  themselves (:func:`~repro.broker.broker.shortest_paths`), pushes it
+  themselves (:func:`~repro.broker.flood.shortest_paths`), pushes it
   with ``set_routes`` whenever topology changes, and re-syncs
   subscription adverts itself.  Deterministic and instant — right for
   calibration benchmarks where failure handling is not under test.
@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.broker.broker import Broker, shortest_paths
+from repro.broker.broker import Broker
+from repro.broker.flood import shortest_paths
 from repro.broker.overload import DEFAULT_RETRY_AFTER_S, ShedWatermarks
 from repro.broker.profile import BrokerProfile, NARADA_PROFILE
 from repro.obs.trace import Tracer
@@ -36,6 +37,29 @@ from repro.simnet.node import Host
 #: Default peer-heartbeat interval when ``autonomous`` is on and no
 #: explicit interval was given.
 DEFAULT_PEER_HEARTBEAT_S = 1.0
+
+
+def _membership(
+    groups: Dict[str, Sequence[str]], kind: str
+) -> Dict[str, str]:
+    """Broker name → group id, refusing a broker listed in two groups."""
+    group_of: Dict[str, str] = {}
+    for group_id, members in groups.items():
+        for name in members:
+            if name in group_of:
+                raise ValueError(f"broker {name!r} assigned to two {kind}")
+            group_of[name] = group_id
+    return group_of
+
+
+def _ring(items: Sequence[str]) -> List[Tuple[str, str]]:
+    """Consecutive pairs, closed into a cycle when there are three or
+    more items."""
+    pairs = list(zip(items, items[1:]))
+    if len(items) > 2:
+        pairs.append((items[-1], items[0]))
+    return pairs
+
 
 class BrokerNetwork:
     """A dynamic collection of interconnected brokers."""
@@ -69,15 +93,7 @@ class BrokerNetwork:
             if regions
             else None
         )
-        self._region_of: Dict[str, str] = {}
-        if self.regions is not None:
-            for region_id, members in self.regions.items():
-                for name in members:
-                    if name in self._region_of:
-                        raise ValueError(
-                            f"broker {name!r} assigned to two regions"
-                        )
-                    self._region_of[name] = region_id
+        self._region_of = _membership(self.regions or {}, "regions")
         self._region_cut: Set[frozenset] = set()
         # ------------------------------------------------ cluster tier
         # ``clusters`` maps cluster id → ordered member broker names and
@@ -90,7 +106,7 @@ class BrokerNetwork:
             if clusters
             else None
         )
-        self._cluster_of: Dict[str, str] = {}
+        self._cluster_of = _membership(self.clusters or {}, "clusters")
         self._gateways_of: Dict[str, Tuple[str, ...]] = {}
         if self.clusters is not None:
             if not autonomous:
@@ -103,12 +119,6 @@ class BrokerNetwork:
             for cluster_id, members in self.clusters.items():
                 if not members:
                     raise ValueError(f"cluster {cluster_id!r} has no members")
-                for name in members:
-                    if name in self._cluster_of:
-                        raise ValueError(
-                            f"broker {name!r} assigned to two clusters"
-                        )
-                    self._cluster_of[name] = cluster_id
                 self._gateways_of[cluster_id] = tuple(
                     members[: min(gateways_per_cluster, len(members))]
                 )
@@ -204,20 +214,15 @@ class BrokerNetwork:
         """Create a peer link between brokers ``a`` and ``b``."""
         broker_a = self.broker(a)
         broker_b = self.broker(b)
-        intercluster = self._is_intercluster(a, b)
-        if intercluster:
-            cluster_a, cluster_b = self._cluster_of[a], self._cluster_of[b]
-            if (
-                a not in self._gateways_of[cluster_a]
-                or b not in self._gateways_of[cluster_b]
-            ):
-                raise ValueError(
-                    f"inter-cluster link {a!r}–{b!r} must join gateway "
-                    "brokers of their clusters"
-                )
-        self._add_edge(a, b)
-        broker_a.add_peer(b, broker_b.peer_address, intercluster=intercluster)
-        broker_b.add_peer(a, broker_a.peer_address, intercluster=intercluster)
+        if self._is_intercluster(a, b) and not (
+            a in self._gateways_of[self._cluster_of[a]]
+            and b in self._gateways_of[self._cluster_of[b]]
+        ):
+            raise ValueError(
+                f"inter-cluster link {a!r}–{b!r} must join gateway "
+                "brokers of their clusters"
+            )
+        self._repeer(a, b)
         if self.autonomous:
             return  # LSA flood + digest exchange take it from here
         self._recompute_routes()
@@ -329,10 +334,15 @@ class BrokerNetwork:
         cable back in — LSAs and digests then reconverge the mesh)."""
         self._cut.discard(self._edge_key(a, b))
         self.network.set_path_blocked(a, b, False)
+        self._repeer_if_evicted(a, b)
+
+    def _repeer_if_evicted(self, a: str, b: str) -> None:
+        """Re-peer two live brokers if either evicted the other.  A
+        crashed endpoint is skipped: restart_broker re-peers it."""
         broker_a = self._brokers.get(a)
         broker_b = self._brokers.get(b)
         if broker_a is None or broker_b is None:
-            return  # an endpoint is crashed; restart_broker will re-peer
+            return
         if not (broker_a.has_peer(b) and broker_b.has_peer(a)):
             self._repeer(a, b)
 
@@ -395,17 +405,11 @@ class BrokerNetwork:
             region_a = self._region_of.get(a)
             region_b = self._region_of.get(b)
             if (
-                region_a is None
-                or region_b is None
-                or frozenset((region_a, region_b)) not in healed_pairs
+                region_a is not None
+                and region_b is not None
+                and frozenset((region_a, region_b)) in healed_pairs
             ):
-                continue
-            broker_a = self._brokers.get(a)
-            broker_b = self._brokers.get(b)
-            if broker_a is None or broker_b is None:
-                continue
-            if not (broker_a.has_peer(b) and broker_b.has_peer(a)):
-                self._repeer(a, b)
+                self._repeer_if_evicted(a, b)
 
     # ---------------------------------------------------------- telemetry
 
@@ -445,6 +449,14 @@ class BrokerNetwork:
             broker.close()
 
     # -------------------------------------------------------- topologies
+
+    def _add_meshed(self, members: Sequence[str], link: LinkProfile) -> None:
+        """Add brokers ``members`` and fully mesh them."""
+        for name in members:
+            self.add_broker(name, link=link)
+        for i, a in enumerate(members):
+            for b in members[i + 1:]:
+                self.connect(a, b)
 
     @staticmethod
     def _regions_for_clusters(
@@ -507,9 +519,8 @@ class BrokerNetwork:
         names = [f"{name_prefix}-{i}" for i in range(count)]
         for name in names:
             broker_network.add_broker(name, link=link)
-        for left, right in zip(names, names[1:]):
+        for left, right in _ring(names):
             broker_network.connect(left, right)
-        broker_network.connect(names[-1], names[0])
         return broker_network
 
     @classmethod
@@ -562,28 +573,18 @@ class BrokerNetwork:
         cluster_members: List[List[str]] = []
         for c, size in enumerate(sizes):
             members = [f"{name_prefix}-c{c}-{i}" for i in range(size)]
-            for name in members:
-                broker_network.add_broker(name, link=link)
-            for i, a in enumerate(members):
-                for b in members[i + 1:]:
-                    broker_network.connect(a, b)
+            broker_network._add_meshed(members, link)
             if members:
                 cluster_members.append(members)
-        gateways = [members[0] for members in cluster_members]
-        primary: List[Tuple[str, str]] = list(zip(gateways, gateways[1:]))
-        if len(gateways) > 2:
-            primary.append((gateways[-1], gateways[0]))
+        primary = _ring([members[0] for members in cluster_members])
         for left, right in primary:
             broker_network.connect(left, right)
         secondaries = [
             members[1] if len(members) > 1 else members[0]
             for members in cluster_members
         ]
-        secondary: List[Tuple[str, str]] = list(zip(secondaries, secondaries[1:]))
-        if len(secondaries) > 2:
-            secondary.append((secondaries[-1], secondaries[0]))
         primary_edges = {frozenset(edge) for edge in primary}
-        for left, right in secondary:
+        for left, right in _ring(secondaries):
             if left != right and frozenset((left, right)) not in primary_edges:
                 broker_network.connect(left, right)
         return broker_network
@@ -633,16 +634,9 @@ class BrokerNetwork:
             **options,
         )
         for members in clusters.values():
-            for name in members:
-                broker_network.add_broker(name, link=link)
-            for i, a in enumerate(members):
-                for b in members[i + 1:]:
-                    broker_network.connect(a, b)
+            broker_network._add_meshed(members, link)
         cluster_ids = [cid for cid, members in clusters.items() if members]
-        pairs: List[Tuple[str, str]] = list(zip(cluster_ids, cluster_ids[1:]))
-        if len(cluster_ids) > 2:
-            pairs.append((cluster_ids[-1], cluster_ids[0]))
-        for left, right in pairs:
+        for left, right in _ring(cluster_ids):
             for gateway_a in broker_network.cluster_gateways(left):
                 for gateway_b in broker_network.cluster_gateways(right):
                     broker_network.connect(gateway_a, gateway_b)

@@ -48,6 +48,9 @@ NextHopGroups = Tuple[Tuple[str, FrozenSet[str]], ...]
 #: insertion evicted first — media workloads reuse a small working set).
 DEFAULT_MAX_ENTRIES = 4096
 
+#: Bound on cached (topic → sequencer) elections.
+SEQUENCER_CACHE_MAX = 4096
+
 
 class RouteEntry:
     """The resolved fan-out for one concrete topic at one generation.

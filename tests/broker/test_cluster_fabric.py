@@ -5,14 +5,14 @@ inside their cluster, gateways exchange aggregated interest summaries
 and cluster-level LSAs, events route leaf → gateway → remote gateway →
 leaf, and the fabric survives gateway death (both the clustered control
 plane and the flat :meth:`BrokerNetwork.hierarchical` redundant-uplink
-topology).  Also pins the `_DedupWindow` LRU semantics the flood plane
+topology).  Also pins the `DedupWindow` LRU semantics the flood plane
 depends on.
 """
 
 import pytest
 
 from repro.broker import BrokerNetwork
-from repro.broker.broker import _DedupWindow
+from repro.broker.flood import DedupWindow
 from repro.broker.links import SubAdvert
 
 from .conftest import make_client
@@ -25,7 +25,7 @@ class TestDedupWindowLru:
         """LRU regression: a hit refreshes recency, so an id that keeps
         echoing is never evicted by one-shot ids — under the old FIFO it
         was dropped at position order and its next echo re-flooded."""
-        window = _DedupWindow(cap=4)
+        window = DedupWindow(cap=4)
         for advert_id in (1, 2, 3, 4):
             assert window.add(advert_id) is True
         # Refresh 1: it becomes the most recently seen.
@@ -42,7 +42,7 @@ class TestDedupWindowLru:
     def test_fifo_counterexample_is_now_safe(self):
         """The exact storm scenario: cap-sized burst of one-shot ids
         arrives between two echoes of a live flood's id."""
-        window = _DedupWindow(cap=8)
+        window = DedupWindow(cap=8)
         live = 1000
         window.add(live)
         for burst in range(8):  # a full cap of unrelated ids...
@@ -118,9 +118,9 @@ class TestSummaryHysteresis:
         remote cluster install/withdraw the full diff as per-pattern
         proxy floods.  Once collapsed, the summary stays collapsed until
         interest genuinely narrows."""
-        import repro.broker.broker as broker_mod
+        import repro.broker.cluster as cluster_mod
 
-        monkeypatch.setattr(broker_mod, "INTEREST_SUMMARY_BUDGET", 4)
+        monkeypatch.setattr(cluster_mod, "INTEREST_SUMMARY_BUDGET", 4)
         bnet = BrokerNetwork.clustered(net, [3, 3], **FAST)
         sim.run_for(20.0)
         client = make_client(net, sim, bnet.broker("broker-c0-2"), "edge")
@@ -128,8 +128,9 @@ class TestSummaryHysteresis:
             client.subscribe(f"/edge/a/t{n}", lambda event: None)
         sim.run_for(5.0)
         gateway = bnet.broker("broker-c0-0")
-        assert gateway._active_gateway == gateway.broker_id
-        epoch_before = gateway._summary_epoch
+        plane = gateway.cluster
+        assert plane.active_gateway == gateway.broker_id
+        epoch_before = plane.interest.epoch
         # Toggle a fifth pattern across the boundary repeatedly: the
         # first crossing may collapse the summary (one flood), but the
         # collapsed form must then be sticky.
@@ -138,9 +139,9 @@ class TestSummaryHysteresis:
             sim.run_for(1.0)
             client.unsubscribe("/edge/a/extra")
             sim.run_for(1.0)
-        assert gateway._summary_collapsed
-        assert gateway._last_summary == ("/edge/a/#",)
-        assert gateway._summary_epoch - epoch_before <= 2
+        assert plane.summary_collapsed
+        assert plane.last_summary == ("/edge/a/#",)
+        assert plane.interest.epoch - epoch_before <= 2
 
 
 def converge(sim, seconds=20.0):
@@ -172,7 +173,7 @@ class TestClusteredFabric:
         own = cluster_members(bnet, "c0")
         member = bnet.broker("broker-c0-3")  # not a gateway
         assert not member.is_gateway
-        assert set(member._lsdb) <= own
+        assert set(member.lsdb.entries) <= own
         assert set(member._routes) <= own - {member.broker_id}
         # Gateways do know foreign *gateways* (the overlay tier) but
         # never foreign members.
@@ -207,9 +208,9 @@ class TestClusteredFabric:
         # Member LSAs were flooded scoped (counted at the gateways that
         # hold inter-cluster links), summaries were aggregated at the
         # active gateways, and events crossed the overlay.
-        assert sum(g.cluster_lsas_scoped for g in gateways) > 0
-        assert sum(g.adverts_aggregated for g in gateways) > 0
-        assert sum(g.intercluster_hops for g in gateways) > 0
+        assert sum(g.cluster.cluster_lsas_scoped for g in gateways) > 0
+        assert sum(g.cluster.adverts_aggregated for g in gateways) > 0
+        assert sum(g.cluster.intercluster_hops for g in gateways) > 0
         stats = gateways[0].statistics()
         for key in (
             "adverts_aggregated",
@@ -225,11 +226,13 @@ class TestClusteredFabric:
         converge(sim, 5.0)
         for broker in bnet.brokers():
             assert broker.cluster_id is None
+            assert broker.cluster is None
             assert not broker.is_gateway
-            assert broker.adverts_aggregated == 0
-            assert broker.cluster_lsas_scoped == 0
-            assert broker.intercluster_hops == 0
-            assert broker.gateway_takeovers == 0
+            stats = broker.statistics()
+            assert stats["adverts_aggregated"] == 0
+            assert stats["cluster_lsas_scoped"] == 0
+            assert stats["intercluster_hops"] == 0
+            assert stats["gateway_takeovers"] == 0
 
 
 class TestGatewayFailover:
@@ -249,13 +252,13 @@ class TestGatewayFailover:
         assert [event.payload for event in received] == ["before"]
 
         standby = bnet.broker("broker-c0-1")
-        active = standby._active_gateway
+        active = standby.cluster.active_gateway
         assert active == "broker-c0-0"  # deterministic min-id election
         bnet.crash_broker(active)
         sim.run_for(15.0)  # chaos budget: evict + takeover + re-advertise
 
-        assert standby._active_gateway == standby.broker_id
-        assert standby.gateway_takeovers >= 1
+        assert standby.cluster.active_gateway == standby.broker_id
+        assert standby.cluster.gateway_takeovers >= 1
         publisher.publish("/gmc/chat/room", "after", 100)
         sim.run_for(5.0)
         assert [event.payload for event in received] == ["before", "after"]
@@ -303,9 +306,9 @@ class TestFloodQuiescence:
             return {
                 broker.broker_id: (
                     broker.lsas_originated,
-                    broker._gw_lsa_epoch,
-                    broker._summary_epoch,
-                    broker.adverts_aggregated,
+                    broker.cluster.gw_lsdb.epoch,
+                    broker.cluster.interest.epoch,
+                    broker.cluster.adverts_aggregated,
                     broker.lsas_deduped,
                 )
                 for broker in bnet.brokers()

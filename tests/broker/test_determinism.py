@@ -132,10 +132,12 @@ def flat_mesh_trace(label_regions=False, **network_options):
     for broker in collection.brokers():
         # Not one cluster-plane branch may fire in flat mode.
         assert broker.cluster_id is None
-        assert broker.adverts_aggregated == 0
-        assert broker.cluster_lsas_scoped == 0
-        assert broker.intercluster_hops == 0
-        assert broker.gateway_takeovers == 0
+        assert broker.cluster is None
+        stats = broker.statistics()
+        assert stats["adverts_aggregated"] == 0
+        assert stats["cluster_lsas_scoped"] == 0
+        assert stats["intercluster_hops"] == 0
+        assert stats["gateway_takeovers"] == 0
     return normalize(trace, id_field=0)
 
 

@@ -11,7 +11,7 @@ and a heal drains everything exactly once).
 """
 
 from repro.broker import BrokerClient, BrokerNetwork
-from repro.broker.broker import SEQUENCER_PIN_WINDOW
+from repro.broker.geo import SEQUENCER_PIN_WINDOW
 
 HB = 0.25
 MISS = 2
@@ -69,8 +69,8 @@ def test_expensive_edge_loses_to_cheap_multihop_path(sim, net):
     assert b0._routes["b3"] == "b1", "route should avoid the 100 ms edge"
     assert bnet.broker("b3")._routes["b0"] == "b2"
     # The advertised class comes from *configured* latency only.
-    assert b0._advertised_costs["b3"] == 16
-    assert b0._advertised_costs["b1"] == 1
+    assert b0.lsdb.own_costs()["b3"] == 16
+    assert b0.lsdb.own_costs()["b1"] == 1
 
 
 def test_geo_disabled_takes_the_direct_edge(sim, net):
@@ -88,7 +88,8 @@ def test_geo_disabled_takes_the_direct_edge(sim, net):
     sim.run_for(3.0)
     b0 = bnet.broker("b0")
     assert b0._routes["b3"] == "b3"
-    assert b0._advertised_costs == {}
+    assert b0.geo is None
+    assert b0.lsdb.own_costs() == {}
 
 
 def test_cost_class_change_reoriginates_but_jitter_never_does(sim, net):
@@ -101,14 +102,14 @@ def test_cost_class_change_reoriginates_but_jitter_never_does(sim, net):
     )
     sim.run_for(3.0)
     b0 = bnet.broker("b0")
-    before = b0.cost_reoriginations
+    before = b0.geo.cost_reoriginations
     sim.run_for(5.0)  # many anti-entropy ticks, nothing configured changed
-    assert b0.cost_reoriginations == before
+    assert b0.geo.cost_reoriginations == before
     # Now reclassify one adjacency: 50 ms lands in the <=60 ms class.
     net.set_path_latency("b0", "b1", 0.050)
     sim.run_for(3.0)
-    assert b0.cost_reoriginations > before
-    assert b0._advertised_costs["b1"] == 8
+    assert b0.geo.cost_reoriginations > before
+    assert b0.lsdb.own_costs()["b1"] == 8
 
 
 # ------------------------------------------------- locality-aware pinning
@@ -143,7 +144,7 @@ def test_sequencer_pin_migrates_to_publisher_majority(sim, net):
         )
     sim.run_for(4.0)
 
-    assert old_sequencer.sequencer_pins_set >= 1
+    assert old_sequencer.geo.sequencer_pins_set >= 1
     for name in ("g0", "g1", "g2"):
         assert bnet.broker(name).sequencer_for(topic) == "g0"
     # Exactly once, in publish order, across the pin handoff.
@@ -185,7 +186,7 @@ def test_minority_parks_ordered_topic_and_heal_drains_exactly_once(sim, net):
 
     bnet.partition_regions("us")
     sim.run_for(2.0)  # heartbeat eviction: the us side sees 2 of 5
-    assert u0._in_minority()
+    assert u0.geo._in_minority()
 
     for index in range(20):
         publisher.publish(topic, index, 200, ordered=True)
@@ -193,13 +194,13 @@ def test_minority_parks_ordered_topic_and_heal_drains_exactly_once(sim, net):
     sim.run_for(1.0)
     # Parked, not forked: the minority refused to elect a local
     # sequencer while the pre-partition one is presumed alive in eu.
-    assert u0.ordered_parked >= 20
+    assert u0.geo.ordered_parked >= 20
     assert us_seen == [] and eu_seen == []
     assert net.blackholed_packets > 0
 
     bnet.heal()
     sim.run_for(6.0)
-    assert u0.ordered_park_drained >= 20
+    assert u0.geo.ordered_park_drained >= 20
     # The drain bursts 20 sequencing requests over a jittery WAN, so the
     # *publish* order may be permuted — but sequencing still guarantees
     # exactly-once and one consistent total order on every continent.
@@ -233,11 +234,11 @@ def test_reliable_cross_region_traffic_queues_and_drains_exactly_once(
     # Intra-region flow never stalls; the transoceanic leg parks.
     assert us_seen == list(range(15))
     assert eu_seen == []
-    assert u0.wan_parked >= 1
+    assert u0.geo.wan_parked >= 1
 
     bnet.heal()
     sim.run_for(6.0)
-    assert u0.wan_park_drained >= 1
+    assert u0.geo.wan_park_drained >= 1
     # Plain reliable events carry no sequencing, so a burst drain may
     # arrive permuted — but the inbox dedup makes the heal exactly-once.
     assert sorted(eu_seen) == list(range(15)), "exactly once after heal"
@@ -259,14 +260,14 @@ def test_majority_side_keeps_sequencing_during_partition(sim, net):
 
     bnet.partition_regions("us")
     sim.run_for(2.0)
-    assert not e0._in_minority()
+    assert not e0.geo._in_minority()
 
     for index in range(10):
         publisher.publish(topic, index, 200, ordered=True)
         sim.run_for(0.05)
     sim.run_for(1.0)
     assert eu_seen == list(range(10))
-    assert e0.ordered_parked == 0
+    assert e0.geo.ordered_parked == 0
 
 
 # -------------------------------------------- sequencer cache regression

@@ -9,7 +9,8 @@ and the statistics counters the cache exposes.
 import pytest
 
 from repro.broker import Broker, BrokerClient, BrokerNetwork, RouteCache, RouteEntry
-from repro.broker.broker import SEEN_ADVERT_WINDOW, _DedupWindow
+from repro.broker.broker import SEEN_ADVERT_WINDOW
+from repro.broker.flood import DedupWindow
 from repro.broker.monitor import BrokerSample
 from repro.broker.profile import NARADA_PROFILE
 
@@ -230,7 +231,7 @@ class TestSequencerCache:
 
 class TestAdvertWindow:
     def test_dedup_and_cap(self):
-        window = _DedupWindow(cap=4)
+        window = DedupWindow(cap=4)
         assert window.add(1) is True
         assert window.add(1) is False
         for i in range(2, 10):
