@@ -123,14 +123,19 @@ class GeoPlane:
         return costs
 
     def check_costs(self) -> None:
-        """Re-originate when an adjacency's *cost class* moved: classes
-        derive from configured latencies, never samples, so jitter can
-        not flap routes."""
+        """Re-originate each link-state tier (member LSDB, and the
+        gateway LSDB on a cluster gateway) whose advertised *cost
+        classes* moved: classes derive from configured latencies, never
+        samples, so jitter can not flap routes."""
         broker = self.broker
-        current = self.link_costs(broker._intra_neighbors())
-        if current != broker.lsdb.own_costs():
-            self.cost_reoriginations += 1
-            broker._originate_lsa()
+        tiers = [(broker.lsdb, broker._intra_neighbors())]
+        cluster = broker.cluster
+        if cluster is not None and cluster.is_gateway:
+            tiers.append((cluster.gw_lsdb, cluster.overlay_peers()))
+        for table, neighbors in tiers:
+            if self.link_costs(neighbors) != table.own_costs():
+                self.cost_reoriginations += 1
+                table.reoriginate()
 
     # ------------------------------------------------ routing changes
 

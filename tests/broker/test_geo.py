@@ -383,3 +383,27 @@ def test_busy_hint_still_floors_retry_toward_the_same_broker(sim, net):
     client._schedule_failover_attempt()
     # Only candidate is the busy broker itself: honor its estimate.
     assert client._failover_timer.time == sim.now + 5.0
+
+
+def test_gateway_overlay_recosts_when_wan_latency_is_set_after_build(sim, net):
+    """``clustered(..., regions=...)`` originates its gateway LSAs before
+    ``set_region_latency`` runs (the documented order).  Anti-entropy
+    must re-cost the overlay adjacencies too, not only member ones, so
+    gateways route around a 150 ms link instead of over it."""
+    bnet = BrokerNetwork.clustered(
+        net, [2, 2, 2], regions=["us", "eu", "ap"],
+        peer_heartbeat_interval_s=HB, peer_miss_limit=MISS,
+    )
+    for a, b in (("us", "eu"), ("us", "ap"), ("eu", "ap")):
+        net.set_region_latency(a, b, 0.045)
+    net.set_path_latency("broker-c0-0", "broker-c1-0", 0.150)
+    sim.run_for(12.0)
+    for gateway in bnet.brokers():
+        plane = gateway.cluster
+        advertised = plane.gw_lsdb.own_costs()
+        assert advertised == gateway.geo.link_costs(plane.overlay_peers())
+    c0 = bnet.broker("broker-c0-0")
+    assert c0.cluster.gw_lsdb.own_costs()["broker-c1-0"] == 32
+    assert c0.cluster.gw_lsdb.own_costs()["broker-c1-1"] == 8
+    assert c0._routes["broker-c1-0"] != "broker-c1-0"
+    assert sum(b.geo.cost_reoriginations for b in bnet.brokers()) > 0
