@@ -155,7 +155,6 @@ class ClusterPlane:
         self.originate_lsa()
         self.broker._send_control(peer_id, self.make_digest())
 
-
     # ------------------------------------------------------ gateway LSDB
 
     @staticmethod
