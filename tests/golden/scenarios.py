@@ -17,6 +17,7 @@ The recorded digests live in ``fingerprints.json`` next to this file;
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -29,6 +30,14 @@ from repro.bench.workload import (
 )
 from repro.broker import Broker, BrokerClient, BrokerNetwork
 from repro.broker.overload import ShedWatermarks
+from repro.core.xgsp import messages as xgsp_messages
+from repro.core.xgsp import session as xgsp_session
+from repro.core.xgsp.client import XgspClient
+from repro.core.xgsp.session_server import (
+    ANNOUNCEMENTS_TOPIC,
+    JOURNAL_TOPIC,
+    XgspSessionServer,
+)
 from repro.obs.trace import Tracer
 from repro.simnet.kernel import Simulator
 from repro.simnet.link import LAN_100M, LinkProfile
@@ -304,6 +313,93 @@ def clustered_telemetry(seed: int) -> Fingerprint:
     return run.fingerprint(fabric.brokers(), extra=signature)
 
 
+def flat_telemetry(seed: int) -> Fingerprint:
+    """A 4-broker autonomous chain with the flat telemetry plane: every
+    broker samples to one wildcard console while media crosses the
+    chain, then a leaf broker dies without a word; the digest also
+    covers what the console saw."""
+    run = Run(seed)
+    fabric = BrokerNetwork.chain(run.net, 4, link=FLAKY, **MESH)
+    plane = fabric.attach_telemetry(sample_interval_s=0.5)
+    plane.start()
+    run.client("sub", fabric.broker("broker-0"), FLAKY).subscribe(
+        "/room/#", run.receiver("sub")
+    )
+    publisher = run.client("pub", fabric.broker("broker-2"), FLAKY)
+    run.sim.run(until=3.0)
+    _publish_burst(run, publisher, 3.0)
+    run.sim.schedule_at(4.0, fabric.crash_broker, "broker-3")
+    run.sim.run(until=8.0)
+    console = plane.console
+    signature = [
+        console.brokers_seen(),
+        console.samples_received,
+        console.stale_brokers(),
+        [
+            [broker_id, latest.events_delivered, latest.clients]
+            for broker_id in console.brokers_seen()
+            for latest in [console.latest(broker_id)]
+        ],
+    ]
+    plane.stop()
+    return run.fingerprint(fabric.brokers(), extra=signature)
+
+
+def control_failover(seed: int) -> Fingerprint:
+    """A leader and a standby session server on an autonomous 3-ring;
+    the leader dies with a join in flight and the standby promotes,
+    answers the join from its journal copy and keeps the roster."""
+    # Session and request ids come from process-global counters and
+    # travel inside the XML, so restart them: message sizes (and so
+    # timing) must not depend on what ran earlier in the process.
+    xgsp_session._session_numbers = itertools.count(1)
+    xgsp_messages._request_ids = itertools.count(1)
+    run = Run(seed)
+    fabric = BrokerNetwork.ring(run.net, 3, link=FLAKY, **MESH)
+    run.sim.run(until=2.0)
+    replicas = [
+        XgspSessionServer(
+            run.net.create_host(f"{name}-host", link=FLAKY),
+            fabric.broker(f"broker-{index}"),
+            server_id=name,
+            replica_heartbeat_interval_s=0.25,
+            replica_miss_limit=2,
+            standby=index > 0,
+        )
+        for index, name in enumerate(("xgsp-a", "xgsp-b"))
+    ]
+    observer = run.client("observer", fabric.broker("broker-2"), FLAKY)
+    for topic in (ANNOUNCEMENTS_TOPIC, JOURNAL_TOPIC):
+        observer.subscribe(topic, run.receiver("observer"))
+    participants = {
+        name: XgspClient(
+            run.net.create_host(f"{name}-host", link=FLAKY),
+            fabric.broker("broker-2"),
+            name,
+            max_retries=3,
+        )
+        for name in ("alice", "bob")
+    }
+    run.sim.run(until=3.5)
+    created = []
+    participants["alice"].create_session("conf", on_created=created.append)
+    run.sim.run(until=4.0)
+    session_id = created[0].session_id
+    participants["alice"].join(session_id)
+    participants["alice"].floor(session_id, "request")
+    run.sim.run(until=5.0)
+    participants["bob"].join(session_id)
+    replicas[0].crash()
+    run.sim.run(until=11.0)
+    survivor = replicas[1]
+    signature = [
+        survivor.leader_id,
+        [[replica.server_id, replica.journal_version] for replica in replicas],
+        sorted(survivor.session(session_id).roster.participants()),
+    ]
+    return run.fingerprint(fabric.brokers(), extra=signature)
+
+
 def ring_chaos(seed: int) -> Fingerprint:
     """A 5-ring that loses a broker and a link while media flows, then
     gets both back: eviction, rerouting, restart and reconvergence."""
@@ -491,11 +587,13 @@ SCENARIOS: Dict[str, Tuple[Callable[[int], Fingerprint], int]] = {
     "geo_ring": (geo_ring, 1234),
     "clustered": (clustered, 1234),
     "clustered_telemetry": (clustered_telemetry, 1234),
+    "flat_telemetry": (flat_telemetry, 1234),
     "ring_chaos": (ring_chaos, 7),
     "geo_partition": (geo_partition, 42),
     "central_hierarchical": (central_hierarchical, 1234),
     "cluster_churn_takeover": (cluster_churn_takeover, 1234),
     "geo_clustered": (geo_clustered, 1234),
+    "control_failover": (control_failover, 1234),
 }
 
 
