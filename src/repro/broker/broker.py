@@ -170,7 +170,6 @@ class Broker:
         peer_port: int = PEER_PORT,
         route_cache_enabled: bool = True,
         reap_timeout_s: Optional[float] = None,
-        reap_check_interval_s: Optional[float] = None,
         link_state_enabled: bool = False,
         peer_heartbeat_interval_s: Optional[float] = None,
         peer_miss_limit: int = 3,
@@ -222,13 +221,10 @@ class Broker:
         # ``reap_timeout_s`` is expired so its TopicTrie interest (and any
         # RouteCache entries depending on it) is released, not leaked.
         # Disabled by default — pure subscribers are silent unless their
-        # client runs keepalive probes.
+        # client runs keepalive probes.  The check runs every half timeout.
+        if reap_timeout_s is not None and reap_timeout_s <= 0:
+            raise ValueError("reap_timeout_s must be positive")
         self.reap_timeout_s = reap_timeout_s
-        self._reap_check_interval_s = (
-            reap_check_interval_s
-            if reap_check_interval_s is not None
-            else (reap_timeout_s / 2 if reap_timeout_s else None)
-        )
         self._reap_timer = None
         self._closed = False
         if self.reap_timeout_s is not None:
@@ -753,7 +749,7 @@ class Broker:
 
     def _arm_reaper(self) -> None:
         self._reap_timer = self.sim.schedule(
-            self._reap_check_interval_s, self._reap_stale_clients
+            self.reap_timeout_s / 2, self._reap_stale_clients
         )
 
     def _reap_stale_clients(self) -> None:

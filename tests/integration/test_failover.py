@@ -327,6 +327,13 @@ def test_broker_reaps_silent_clients_releasing_interest():
     assert not broker.has_local_subscription("/t", "quiet")
 
 
+def test_broker_rejects_non_positive_reap_timeout():
+    """The reaper checks every half timeout; a zero timeout would spin."""
+    net = Network(Simulator(), SeededStreams(12))
+    with pytest.raises(ValueError):
+        Broker(net.create_host("broker-host"), reap_timeout_s=0.0)
+
+
 @pytest.mark.slow
 def test_failover_chain_soak():
     """Clients survive two successive broker deaths, hopping down a
