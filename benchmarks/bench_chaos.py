@@ -28,7 +28,6 @@ Results land in ``BENCH_chaos.json`` via
 
 from repro.bench.reporting import json_artifact, simple_table
 from repro.broker.client import BrokerClient
-from repro.broker.monitor import BrokerSample
 from repro.broker.network import BrokerNetwork
 from repro.obs.collector import TraceCollector
 from repro.obs.slo import AlertLog, SloWatchdog
@@ -123,13 +122,13 @@ def run_soak() -> dict:
         heal_after=HEAL_AT_S - PARTITION_AT_S,
     )
 
-    # Sample routing epochs alongside media via the monitor plane.
+    # Sample routing epochs alongside media.
     samples = {}
 
     def sample_tick():
         for broker in bnet.brokers():
             samples.setdefault(broker.broker_id, []).append(
-                BrokerSample.capture(broker)
+                broker.statistics()
             )
         sim.schedule(1.0, sample_tick)
 
@@ -264,7 +263,7 @@ def test_chaos_soak_media_gap_convergence_zero_leak(measure):
 
     # Monitoring saw the routing epochs move alongside the media story.
     sampled_epochs = {
-        broker_id: [s.routing_epochs for s in series]
+        broker_id: [s["routing_epochs"] for s in series]
         for broker_id, series in result["samples"].items()
     }
     assert all(series[-1] > series[0] for series in sampled_epochs.values())

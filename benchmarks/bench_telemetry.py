@@ -19,8 +19,8 @@ Four measured legs on the same seeded conference workload:
 * **baseline** — no telemetry at all; the modeled-CPU yardstick;
 * **hierarchical** — delta monitors → gateway aggregators → fleet
   console, plus an anomaly watchdog on the hot broker;
-* **flat** — classic full samples straight to one wildcard console
-  (what PR 4 shipped), the ingress yardstick;
+* **flat** — every broker's samples straight to one wildcard console,
+  the ingress yardstick;
 * **determinism** — two telemetry-enabled runs must produce the same
   data-plane trace and the same console state, bit for bit.
 
@@ -50,7 +50,7 @@ from repro.broker.network import BrokerNetwork
 from repro.broker.overload import NORMAL, ShedWatermarks
 from repro.obs.anomaly import EwmaBandDetector, SlopeDetector
 from repro.obs.report import build_report, render_report
-from repro.obs.series import HistogramSketch, merge_sketches
+from repro.obs.series import merge_sketches
 from repro.obs.slo import AlertLog, SloWatchdog
 from repro.simnet.kernel import Simulator
 from repro.simnet.link import LinkProfile
@@ -158,7 +158,7 @@ def run_scenario(cluster_sizes, mode):
             EwmaBandDetector(band_k=6.0, min_consecutive=2),
         )
     elif mode == "flat":
-        # PR-4 style: every broker full-samples to one wildcard console.
+        # Every broker samples straight to one wildcard console.
         flat_monitors = [
             BrokerMonitor(broker, interval_s=SAMPLE_INTERVAL_S)
             for broker in brokers
@@ -300,10 +300,7 @@ def run_scenario(cluster_sizes, mode):
 
     if mode == "hier":
         fleet = plane.fleet
-        direct = merge_sketches(
-            HistogramSketch.from_histogram(b.delivery_latency)
-            for b in brokers
-        )
+        direct = merge_sketches(b.delivery_latency for b in brokers)
         plane_sketch = fleet.fleet_sketch()
         first_alert_at = min(
             (alert.at for alert in alert_log.alerts), default=None
@@ -337,6 +334,9 @@ def run_scenario(cluster_sizes, mode):
         result.update(
             console_ingress=flat_console.samples_received,
             brokers_seen=len(flat_console.brokers_seen()),
+            sample_bytes_published=sum(
+                monitor.sample_bytes_published for monitor in flat_monitors
+            ),
         )
         for monitor in flat_monitors:
             monitor.stop()
@@ -431,7 +431,8 @@ def print_result(baseline, hier, flat, derived, gates):
          f"{derived['cpu_overhead_capacity_frac']:.4%} of fabric CPU "
          "capacity"),
         ("console ingress (flat)", flat["console_ingress"],
-         f"{flat['brokers_seen']} brokers seen"),
+         f"{flat['brokers_seen']} brokers seen, "
+         f"{flat['sample_bytes_published']} sample bytes"),
         ("console ingress (hier)", hier["console_ingress"],
          f"{derived['ingress_factor']:.1f}x fewer, "
          f"{hier['clusters_seen']} clusters"),
@@ -502,6 +503,7 @@ def main(argv=None):
             "flat": {
                 "console_ingress": flat["console_ingress"],
                 "brokers_seen": flat["brokers_seen"],
+                "sample_bytes_published": flat["sample_bytes_published"],
             },
             "hier": {
                 key: value

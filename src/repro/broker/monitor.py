@@ -9,145 +9,56 @@ samples stay inside their cluster); a :class:`MonitoringClient`
 subscribes (wildcard) and keeps bounded per-broker history — the data an
 admission or load-balancing policy would consume.
 
-Two sample encodings:
+One sample encoding, :class:`DeltaSample` (DESIGN.md §11): only the
+counters whose value changed since the previous tick, plus the
+cumulative delivery-latency sketch when it moved.  A full sample is a
+delta against empty; the monitor sends one on its first tick and every
+:data:`FULL_EVERY` ticks.  That is also the resync mechanism: a
+:class:`SampleLedger` that sees a sequence gap (gateway takeover, client
+failover, lossy link) marks the broker unsynced and waits for the next
+full sample instead of requesting a replay.
 
-* :class:`BrokerSample` — the classic full snapshot, one dataclass per
-  tick.  Fine for a flat console watching a handful of brokers.
-* :class:`DeltaSample` — the hierarchical plane's wire format (DESIGN.md
-  §11): only the counters whose value changed since the previous tick,
-  plus the cumulative delivery-latency sketch when it moved.  Every
-  ``full_every`` ticks the monitor publishes a *full* snapshot, which is
-  also the resync mechanism — an aggregator that detects a sequence gap
-  (gateway takeover, lossy link) simply waits for the next full sample
-  instead of requesting a replay.
-
-Anti-drift: :meth:`BrokerSample.capture` splats ``Broker.statistics()``
-(itself generated from the broker's metrics registry) into the dataclass
-constructor.  A counter registered on the broker but missing here raises
-``TypeError`` at the first capture instead of silently vanishing from
-the monitoring surface.  ``DeltaSample`` payloads are built from the
-same ``statistics()`` dict, so they inherit the same coverage.
+Anti-drift: samples carry ``Broker.statistics()`` whole (it is generated
+from the broker's metrics registry), so every registered counter reaches
+the monitoring surface without a second list to keep in step.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.broker.broker import Broker
 from repro.broker.client import BrokerClient
 from repro.broker.event import NBEvent
-from repro.obs.series import HistogramSketch, delta_encode
+from repro.obs.metrics import Histogram
+from repro.obs.series import delta_encode
 from repro.simnet.kernel import Timer
 from repro.simnet.node import Host
 
 MONITOR_TOPIC_PREFIX = "/narada/monitor"
 
-#: Wire size of one encoded full sample.
-SAMPLE_BYTES = 160
-
 #: Default per-broker history cap for :class:`MonitoringClient`.
 DEFAULT_HISTORY_LIMIT = 720
 
-#: A delta sample ships a full snapshot every this many ticks — the
-#: passive resync cadence for aggregators that joined (or lost samples)
-#: mid-stream.
-DEFAULT_FULL_EVERY = 8
+#: A monitor ships a full sample on its first tick and then every this
+#: many ticks — the passive resync cadence for consumers that joined
+#: (or lost samples) mid-stream.
+FULL_EVERY = 8
 
 #: Default staleness horizon: three missed ticks at the default 5 s
 #: monitor interval means the broker is presumed down.
 DEFAULT_STALE_TIMEOUT_S = 15.0
-
-
-@dataclass
-class BrokerSample:
-    """One telemetry sample from one broker.
-
-    The counter fields mirror ``Broker.statistics()`` *exactly* — they
-    are filled by keyword splat in :meth:`capture`, so the two can never
-    drift apart without a loud ``TypeError``.
-    """
-
-    broker_id: str
-    at: float
-    clients: int
-    cpu_busy_s: float
-    gc_pauses: int
-    nic_sent_packets: int
-    nic_dropped_packets: int
-    last_route_change_at: float = -1.0
-    # Delivery-latency percentiles exported from the broker's histogram.
-    delivery_p50_s: float = 0.0
-    delivery_p99_s: float = 0.0
-    # --- Broker.statistics() counters/gauges (registry-generated) ---
-    events_routed: int = 0
-    events_delivered: int = 0
-    events_forwarded: int = 0
-    control_messages: int = 0
-    route_cache_hits: int = 0
-    route_cache_misses: int = 0
-    route_cache_invalidations: int = 0
-    route_cache_entries: int = 0
-    heartbeats_received: int = 0
-    clients_reaped: int = 0
-    outbox_abandons: int = 0
-    outbox_depth: int = 0
-    local_subscriptions: int = 0
-    remote_interest: int = 0
-    peer_heartbeats_received: int = 0
-    peers_evicted: int = 0
-    lsas_originated: int = 0
-    lsas_received: int = 0
-    lsas_deduped: int = 0
-    lsas_stale: int = 0
-    routing_epochs: int = 0
-    sequencer_changes: int = 0
-    traces_started: int = 0
-    traces_completed: int = 0
-    traces_suppressed: int = 0
-    adverts_aggregated: int = 0
-    cluster_lsas_scoped: int = 0
-    intercluster_hops: int = 0
-    gateway_takeovers: int = 0
-    dedup_evictions: int = 0
-    # Overload protection (see repro.broker.overload).
-    overload_state: int = 0
-    overload_entries: int = 0
-    admissions_refused: int = 0
-    events_shed: int = 0
-    events_shed_control: int = 0
-    events_shed_audio: int = 0
-    events_shed_video: int = 0
-    events_shed_bulk: int = 0
-    outbox_overflows: int = 0
-    # Geo federation (see DESIGN.md §12).
-    cost_reoriginations: int = 0
-    sequencer_pins_set: int = 0
-    ordered_parked: int = 0
-    ordered_park_drained: int = 0
-    ordered_park_drops: int = 0
-    wan_parked: int = 0
-    wan_park_drained: int = 0
-    wan_park_drops: int = 0
-    wan_replays: int = 0
-
-    @staticmethod
-    def capture(broker: Broker) -> "BrokerSample":
-        host = broker.host
-        return BrokerSample(
-            broker_id=broker.broker_id,
-            at=broker.sim.now,
-            clients=broker.client_count(),
-            cpu_busy_s=host.cpu.busy_time,
-            gc_pauses=host.cpu.gc_pauses,
-            nic_sent_packets=host.nic.sent_packets,
-            nic_dropped_packets=host.nic.dropped_packets,
-            last_route_change_at=broker.last_route_change_at,
-            delivery_p50_s=broker.delivery_latency.quantile(0.50),
-            delivery_p99_s=broker.delivery_latency.quantile(0.99),
-            **broker.statistics(),
-        )
 
 
 class DeltaSample:
@@ -155,10 +66,10 @@ class DeltaSample:
 
     ``counters`` maps metric name → *absolute* current value for every
     metric that changed since the previous tick (all of them when
-    ``full`` is set); ``sketch`` is the broker's cumulative
-    delivery-latency sketch, included only when it changed (always on a
-    full sample).  ``seq`` increments per monitor tick so consumers can
-    detect gaps and wait out a resync.
+    ``full`` is set); ``sketch`` is a copy of the broker's cumulative
+    delivery-latency histogram, included only when it changed (always on
+    a full sample).  ``seq`` increments per monitor tick so consumers
+    can detect gaps and wait out a resync.
     """
 
     __slots__ = ("broker_id", "at", "seq", "full", "counters", "sketch")
@@ -170,7 +81,7 @@ class DeltaSample:
         seq: int,
         full: bool,
         counters: Dict[str, float],
-        sketch: Optional[HistogramSketch],
+        sketch: Optional[Histogram],
     ):
         self.broker_id = broker_id
         self.at = at
@@ -205,7 +116,7 @@ def sample_numbers(broker: Broker) -> Dict[str, float]:
 
     This is the dict :class:`DeltaSample` payloads are delta-encoded
     from; the delivery-latency histogram travels separately as a
-    mergeable sketch rather than as pre-baked percentile scalars.
+    mergeable copy rather than as pre-baked percentile scalars.
     """
     host = broker.host
     numbers: Dict[str, float] = {
@@ -223,9 +134,6 @@ def sample_numbers(broker: Broker) -> Dict[str, float]:
 class BrokerMonitor:
     """Publishes one broker's telemetry on its management topic.
 
-    With ``delta=True`` the monitor publishes :class:`DeltaSample`
-    (changed counters only, full snapshot every ``full_every`` ticks);
-    the default publishes classic full :class:`BrokerSample` objects.
     ``topic`` overrides the publish topic — the hierarchical plane uses
     the cluster-scoped form so leaf samples never cross the gateway
     overlay.
@@ -235,24 +143,17 @@ class BrokerMonitor:
         self,
         broker: Broker,
         interval_s: float = 5.0,
-        monitor_id: Optional[str] = None,
         keepalive_interval_s: Optional[float] = None,
         failover_brokers: Optional[List[Broker]] = None,
-        delta: bool = False,
-        full_every: int = DEFAULT_FULL_EVERY,
         topic: Optional[str] = None,
     ):
-        if full_every < 1:
-            raise ValueError("full_every must be >= 1")
         self.broker = broker
         self.sim = broker.sim
         self.interval_s = interval_s
-        self.delta = delta
-        self.full_every = full_every
         self.topic = topic or monitor_topic(broker.broker_id)
         self.client = BrokerClient(
             broker.host,
-            client_id=monitor_id or f"monitor/{broker.broker_id}",
+            client_id=f"monitor/{broker.broker_id}",
             keepalive_interval_s=keepalive_interval_s,
         )
         if failover_brokers:
@@ -260,9 +161,8 @@ class BrokerMonitor:
         self.client.connect(broker)
         self._timer: Optional[Timer] = None
         self._seq = 0
-        self._ticks_since_full = 0
         self._last_numbers: Optional[Dict[str, float]] = None
-        self._last_sketch: Optional[HistogramSketch] = None
+        self._last_sketch: Optional[Histogram] = None
         self.samples_published = 0
         self.full_samples_published = 0
         self.sample_bytes_published = 0
@@ -277,59 +177,180 @@ class BrokerMonitor:
             self._timer = None
 
     def _tick(self) -> None:
-        if self.delta:
-            self._publish_delta()
-        else:
-            sample = BrokerSample.capture(self.broker)
-            if self.client.connected:
-                self.client.publish(self.topic, sample, SAMPLE_BYTES)
-                self.samples_published += 1
-                self.sample_bytes_published += SAMPLE_BYTES
-        self._timer = self.sim.schedule(self.interval_s, self._tick)
-
-    def _publish_delta(self) -> None:
         numbers = sample_numbers(self.broker)
-        sketch = HistogramSketch.from_histogram(self.broker.delivery_latency)
-        full = (
-            self._last_numbers is None
-            or self._ticks_since_full + 1 >= self.full_every
-        )
-        if full:
-            counters = dict(numbers)
-            sketch_payload: Optional[HistogramSketch] = sketch
-            self._ticks_since_full = 0
-        else:
-            counters = delta_encode(self._last_numbers, numbers)
-            sketch_payload = sketch if sketch != self._last_sketch else None
-            self._ticks_since_full += 1
+        sketch = self.broker.delivery_latency.copy()
+        # Ticks still count while disconnected, so a consumer sees the
+        # missed ones as a sequence gap.
+        full = self._seq % FULL_EVERY == 0
+        counters = delta_encode(None if full else self._last_numbers, numbers)
+        moved = full or sketch != self._last_sketch
         self._seq += 1
         self._last_numbers = numbers
         self._last_sketch = sketch
-        if not self.client.connected:
-            return
-        sample = DeltaSample(
-            self.broker.broker_id,
-            self.sim.now,
-            self._seq,
-            full,
-            counters,
-            sketch_payload,
+        if self.client.connected:
+            sample = DeltaSample(
+                self.broker.broker_id,
+                self.sim.now,
+                self._seq,
+                full,
+                counters,
+                sketch if moved else None,
+            )
+            size = sample.wire_size()
+            self.client.publish(self.topic, sample, size)
+            self.samples_published += 1
+            self.full_samples_published += full
+            self.sample_bytes_published += size
+        self._timer = self.sim.schedule(self.interval_s, self._tick)
+
+
+class BrokerLedger:
+    """A consumer's reconstructed state for one monitored broker."""
+
+    __slots__ = ("numbers", "sketch", "last_seq", "last_at", "synced")
+
+    def __init__(self) -> None:
+        self.numbers: Dict[str, float] = {}
+        self.sketch = Histogram("delivery_latency")
+        self.last_seq = 0
+        self.last_at = 0.0
+        self.synced = False
+
+
+class SampleLedger:
+    """Rebuilds each broker's absolute state from its sample stream.
+
+    A full sample re-bases the broker; an in-sequence delta applies on
+    top.  After a gap, or a delta before any full sample, the broker is
+    unsynced until the next full sample: absolute values would apply
+    cleanly, but the snapshot would be incomplete.
+    """
+
+    def __init__(self) -> None:
+        self.brokers: Dict[str, BrokerLedger] = {}
+        self.delta_gaps = 0
+        self.resyncs = 0
+
+    def ingest(self, sample: DeltaSample) -> BrokerLedger:
+        ledger = self.brokers.get(sample.broker_id)
+        if ledger is None:
+            ledger = self.brokers[sample.broker_id] = BrokerLedger()
+        in_sequence = sample.seq == ledger.last_seq + 1
+        if sample.full:
+            if ledger.synced and not in_sequence:
+                self.delta_gaps += 1
+            if not ledger.synced and ledger.last_seq:
+                self.resyncs += 1
+            ledger.numbers = dict(sample.counters)
+            ledger.synced = True
+        elif ledger.synced and in_sequence:
+            ledger.numbers.update(sample.counters)
+        else:
+            if ledger.synced:
+                self.delta_gaps += 1
+            ledger.synced = False
+        if ledger.synced and sample.sketch is not None:
+            ledger.sketch = sample.sketch.copy()
+        ledger.last_seq = sample.seq
+        ledger.last_at = sample.at
+        return ledger
+
+    def unsynced(self) -> List[str]:
+        return sorted(
+            broker_id
+            for broker_id, ledger in self.brokers.items()
+            if not ledger.synced
         )
-        self.client.publish(self.topic, sample, sample.wire_size())
-        self.samples_published += 1
-        if full:
-            self.full_samples_published += 1
-        self.sample_bytes_published += sample.wire_size()
 
 
-class MonitoringClient:
-    """Collects samples from every monitored broker (wildcard subscribe).
+class HistoryConsole:
+    """What every telemetry console shares.
 
-    History is bounded: each broker keeps the newest ``history_limit``
-    samples (older ones are counted in :attr:`dropped_samples`), so a
-    long soak cannot grow the console's memory without bound.  Duplicate
-    deliveries of the same sample (e.g. republished across a failover
-    replay) are dropped.
+    One client on a wildcard subscription, with optional keepalive and
+    failover (the failover replays the subscription); a bounded
+    per-key history whose overflow evicts the oldest entry (counted in
+    :attr:`dropped`); re-deliveries that are not newer than the key's
+    newest entry dropped (counted in :attr:`duplicates`); and the
+    staleness horizon.  Entries need an ``at`` attribute.
+    """
+
+    def __init__(
+        self,
+        host: Host,
+        broker: Broker,
+        client_id: str,
+        pattern: str,
+        handler: Callable[[NBEvent], None],
+        history_limit: int,
+        stale_timeout_s: float,
+        keepalive_interval_s: Optional[float],
+        failover_brokers: Optional[List[Broker]],
+    ):
+        if history_limit < 2:
+            raise ValueError("history_limit must be at least 2")
+        if stale_timeout_s <= 0:
+            raise ValueError("stale_timeout_s must be positive")
+        self.history_limit = history_limit
+        self.stale_timeout_s = stale_timeout_s
+        self.sim = broker.sim
+        self.client = BrokerClient(
+            host, client_id=client_id,
+            keepalive_interval_s=keepalive_interval_s,
+        )
+        if failover_brokers:
+            self.client.set_failover_brokers(failover_brokers)
+        self.client.connect(broker)
+        self.history: Dict[str, Deque[Any]] = {}
+        self.dropped = 0
+        self.duplicates = 0
+        self.client.subscribe(pattern, handler)
+
+    def _is_duplicate(self, key: str, at: float) -> bool:
+        window = self.history.get(key)
+        if window and window[-1].at >= at:
+            self.duplicates += 1
+            return True
+        return False
+
+    def _append(self, key: str, entry: Any) -> None:
+        window = self.history.get(key)
+        if window is None:
+            window = self.history[key] = deque(maxlen=self.history_limit)
+        if len(window) == window.maxlen:
+            self.dropped += 1  # the deque evicts the oldest
+        window.append(entry)
+
+    def latest(self, key: str) -> Optional[Any]:
+        window = self.history.get(key)
+        return window[-1] if window else None
+
+    def _stale(
+        self,
+        last_seen: Iterable[Tuple[str, float]],
+        timeout_s: Optional[float],
+    ) -> List[str]:
+        """Keys last seen before the staleness horizon."""
+        horizon = self.sim.now - (
+            timeout_s if timeout_s is not None else self.stale_timeout_s
+        )
+        return sorted(key for key, at in last_seen if at < horizon)
+
+
+class MonitorSnapshot(NamedTuple):
+    """One broker's reconstructed absolute state at one sample."""
+
+    at: float
+    counters: Dict[str, float]
+    sketch: Histogram
+
+
+class MonitoringClient(HistoryConsole):
+    """The flat console: every broker's samples, one wildcard subscribe.
+
+    A :class:`SampleLedger` rebuilds each broker's state; every sample
+    that leaves the broker synced appends a :class:`MonitorSnapshot` to
+    its history.  While a broker is unsynced (see
+    :meth:`unsynced_brokers`) its history does not grow.
 
     A crashed broker stops publishing but its history stays: use
     :meth:`stale_brokers` (or the :attr:`stale_broker_count` gauge) to
@@ -347,65 +368,50 @@ class MonitoringClient:
         failover_brokers: Optional[List[Broker]] = None,
         stale_timeout_s: float = DEFAULT_STALE_TIMEOUT_S,
     ):
-        if history_limit < 2:
-            raise ValueError("history_limit must be at least 2")
-        if stale_timeout_s <= 0:
-            raise ValueError("stale_timeout_s must be positive")
-        self.history_limit = history_limit
-        self.stale_timeout_s = stale_timeout_s
-        self.sim = broker.sim
-        self.client = BrokerClient(
-            host, client_id=client_id,
-            keepalive_interval_s=keepalive_interval_s,
-        )
-        if failover_brokers:
-            self.client.set_failover_brokers(failover_brokers)
-        self.client.connect(broker)
-        self.history: Dict[str, Deque[BrokerSample]] = {}
-        self.dropped_samples = 0
-        self.duplicate_samples = 0
+        self.ledger = SampleLedger()
         self.samples_received = 0
-        self.client.subscribe(f"{MONITOR_TOPIC_PREFIX}/#", self._on_sample)
+        super().__init__(
+            host, broker, client_id, f"{MONITOR_TOPIC_PREFIX}/#",
+            self._on_sample, history_limit, stale_timeout_s,
+            keepalive_interval_s, failover_brokers,
+        )
 
     def _on_sample(self, event: NBEvent) -> None:
         sample = event.payload
-        if not isinstance(sample, BrokerSample):
+        if not isinstance(sample, DeltaSample):
             return
         self.samples_received += 1
-        window = self.history.get(sample.broker_id)
-        if window is None:
-            window = self.history[sample.broker_id] = deque(
-                maxlen=self.history_limit
-            )
-        if window and window[-1].at >= sample.at:
-            self.duplicate_samples += 1
+        if self._is_duplicate(sample.broker_id, sample.at):
             return
-        if len(window) == window.maxlen:
-            self.dropped_samples += 1  # the deque evicts the oldest
-        window.append(sample)
+        ledger = self.ledger.ingest(sample)
+        if ledger.synced:
+            self._append(
+                sample.broker_id,
+                MonitorSnapshot(sample.at, dict(ledger.numbers), ledger.sketch),
+            )
 
     def brokers_seen(self) -> List[str]:
-        return sorted(self.history)
+        return sorted(self.ledger.brokers)
 
-    def latest(self, broker_id: str) -> Optional[BrokerSample]:
-        samples = self.history.get(broker_id)
-        return samples[-1] if samples else None
+    def unsynced_brokers(self) -> List[str]:
+        """Brokers waiting for a full sample after a gap."""
+        return self.ledger.unsynced()
 
     def stale_brokers(self, timeout_s: Optional[float] = None) -> List[str]:
         """Brokers whose newest sample is older than ``timeout_s``.
 
-        A broker that was seen once and then went silent (crash,
-        partition) shows up here after one timeout; a broker that never
-        reported at all cannot (it has no history row) — pair this with
-        an expected-membership list for provisioning checks.
+        Any sample counts, synced or not, so a broker that crashes
+        before its first full sample arrives is still flagged.  A broker
+        that never reported at all cannot be (it has no ledger row) —
+        pair this with an expected-membership list for provisioning
+        checks.
         """
-        horizon = self.sim.now - (
-            timeout_s if timeout_s is not None else self.stale_timeout_s
-        )
-        return sorted(
-            broker_id
-            for broker_id, window in self.history.items()
-            if window and window[-1].at < horizon
+        return self._stale(
+            (
+                (broker_id, ledger.last_at)
+                for broker_id, ledger in self.ledger.brokers.items()
+            ),
+            timeout_s,
         )
 
     @property
@@ -414,12 +420,16 @@ class MonitoringClient:
         return len(self.stale_brokers())
 
     def delivery_rate(self, broker_id: str) -> float:
-        """Events delivered per second over the sampled window."""
-        samples = self.history.get(broker_id)
-        if not samples or len(samples) < 2:
+        """Events delivered per second over the retained snapshots."""
+        snapshots = self.history.get(broker_id)
+        if not snapshots or len(snapshots) < 2:
             return 0.0
-        first, last = samples[0], samples[-1]
+        first, last = snapshots[0], snapshots[-1]
         window = last.at - first.at
         if window <= 0:
             return 0.0
-        return (last.events_delivered - first.events_delivered) / window
+        delivered = (
+            last.counters["events_delivered"]
+            - first.counters["events_delivered"]
+        )
+        return delivered / window

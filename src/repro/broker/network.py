@@ -416,12 +416,13 @@ class BrokerNetwork:
     def attach_telemetry(self, **options) -> "TelemetryPlane":
         """Build the telemetry plane for this fabric (DESIGN.md §11).
 
-        Clustered fabrics get delta monitors on cluster-scoped topics,
-        per-gateway :class:`~repro.obs.aggregate.ClusterHealthAggregator`
-        roles and an O(clusters) fleet console; flat fabrics get classic
-        full-sample monitors and a wildcard monitoring console.  Call
-        after the topology is built, then ``start()`` the returned plane.
-        Options are forwarded to :class:`~repro.obs.aggregate.TelemetryPlane`.
+        Every broker gets a monitor.  Clustered fabrics publish on
+        cluster-scoped topics to per-gateway
+        :class:`~repro.obs.aggregate.ClusterHealthAggregator` roles and an
+        O(clusters) fleet console; flat fabrics publish to one wildcard
+        monitoring console.  Call after the topology is built, then
+        ``start()`` the returned plane.  Options are forwarded to
+        :class:`~repro.obs.aggregate.TelemetryPlane`.
         """
         from repro.obs.aggregate import TelemetryPlane
 

@@ -19,7 +19,6 @@ from repro.obs.metrics import (
     bucket_quantile,
 )
 from repro.obs.series import (
-    HistogramSketch,
     SeriesStore,
     TimeSeries,
     delta_encode,
@@ -62,7 +61,6 @@ __all__ = [
     "Anomaly",
     "EwmaBandDetector",
     "SlopeDetector",
-    "HistogramSketch",
     "SeriesStore",
     "TimeSeries",
     "delta_encode",

@@ -20,17 +20,19 @@ the cluster fabric (DESIGN.md §11):
   merging the per-cluster histogram sketches once more.
 
 Resync contract: delta samples carry a per-monitor sequence number and
-*absolute* counter values, and every ``full_every`` ticks the monitor
-publishes a full snapshot.  An aggregator that observes a sequence gap
-(lossy link, its own late start) marks the broker unsynced — excluded
-from merged totals, flagged in the summary — until the next full sample
-re-bases it.  No replay, no request channel, deterministic.
+*absolute* counter values, and every
+:data:`~repro.broker.monitor.FULL_EVERY` ticks the monitor publishes a
+full snapshot.  The aggregator's
+:class:`~repro.broker.monitor.SampleLedger` (the same one the flat
+console uses) marks a broker unsynced after a sequence gap (lossy link,
+its own late start) — excluded from merged totals, flagged in the
+summary — until the next full sample re-bases it.  No replay, no
+request channel, deterministic.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.broker.broker import Broker
 from repro.broker.client import BrokerClient
@@ -38,16 +40,14 @@ from repro.broker.event import NBEvent
 from repro.broker.monitor import (
     BrokerMonitor,
     DeltaSample,
+    HistoryConsole,
     MonitoringClient,
     MONITOR_TOPIC_PREFIX,
+    SampleLedger,
     monitor_topic,
 )
-from repro.obs.series import (
-    HistogramSketch,
-    SeriesStore,
-    merge_counter_totals,
-    merge_sketches,
-)
+from repro.obs.metrics import Histogram
+from repro.obs.series import SeriesStore, merge_counter_totals, merge_sketches
 from repro.simnet.kernel import Timer
 from repro.simnet.node import Host
 
@@ -55,6 +55,9 @@ HEALTH_TOPIC_PREFIX = "/narada/health"
 
 #: Default per-cluster summary history at the fleet console.
 DEFAULT_SUMMARY_HISTORY = 360
+
+#: Client id (and host name) of the plane's top-level console.
+CONSOLE_NAME = "fleet-console"
 
 
 def health_topic(cluster_id: str) -> str:
@@ -125,7 +128,7 @@ class ClusterHealthSummary:
         seq: int,
         brokers: Tuple[BrokerHealth, ...],
         counters: Dict[str, float],
-        sketch: HistogramSketch,
+        sketch: Histogram,
         stale_brokers: Tuple[str, ...],
         unsynced_brokers: Tuple[str, ...],
     ):
@@ -163,19 +166,6 @@ class ClusterHealthSummary:
         )
 
 
-class _BrokerLedger:
-    """An aggregator's running state for one leaf broker."""
-
-    __slots__ = ("numbers", "sketch", "last_seq", "last_at", "synced")
-
-    def __init__(self) -> None:
-        self.numbers: Dict[str, float] = {}
-        self.sketch = HistogramSketch()
-        self.last_seq = 0
-        self.last_at = 0.0
-        self.synced = False
-
-
 class ClusterHealthAggregator:
     """The gateway-side merge: cluster samples in, one summary out.
 
@@ -208,12 +198,10 @@ class ClusterHealthAggregator:
         self.client.subscribe(
             f"{MONITOR_TOPIC_PREFIX}/{cluster_id}/#", self._on_sample
         )
-        self._ledgers: Dict[str, _BrokerLedger] = {}
+        self.ledger = SampleLedger()
         self._timer: Optional[Timer] = None
         self._seq = 0
         self.samples_ingested = 0
-        self.delta_gaps = 0
-        self.resyncs = 0
         self.summaries_published = 0
         self.standby_ticks = 0
 
@@ -224,32 +212,7 @@ class ClusterHealthAggregator:
         if not isinstance(sample, DeltaSample):
             return
         self.samples_ingested += 1
-        ledger = self._ledgers.get(sample.broker_id)
-        if ledger is None:
-            ledger = self._ledgers[sample.broker_id] = _BrokerLedger()
-        in_sequence = sample.seq == ledger.last_seq + 1
-        if sample.full:
-            if ledger.synced and not in_sequence:
-                self.delta_gaps += 1
-            if not ledger.synced and ledger.last_seq:
-                self.resyncs += 1
-            ledger.numbers = dict(sample.counters)
-            if sample.sketch is not None:
-                ledger.sketch = sample.sketch.copy()
-            ledger.synced = True
-        elif ledger.synced and in_sequence:
-            ledger.numbers.update(sample.counters)
-            if sample.sketch is not None:
-                ledger.sketch = sample.sketch.copy()
-        else:
-            # A gap (or a delta before any full): absolute values would
-            # apply cleanly, but the snapshot is incomplete — wait for
-            # the next full sample instead of merging partial state.
-            if ledger.synced:
-                self.delta_gaps += 1
-            ledger.synced = False
-        ledger.last_seq = sample.seq
-        ledger.last_at = sample.at
+        self.ledger.ingest(sample)
 
     # ------------------------------------------------------------ publish
 
@@ -277,16 +240,17 @@ class ClusterHealthAggregator:
         self._timer = self.sim.schedule(self.interval_s, self._tick)
 
     def build_summary(self) -> Optional[ClusterHealthSummary]:
-        if not self._ledgers:
+        ledgers = self.ledger.brokers
+        if not ledgers:
             return None
         now = self.sim.now
         rows: List[BrokerHealth] = []
         stale: List[str] = []
         unsynced: List[str] = []
         synced_numbers: List[Dict[str, float]] = []
-        sketches: List[HistogramSketch] = []
-        for broker_id in sorted(self._ledgers):
-            ledger = self._ledgers[broker_id]
+        sketches: List[Histogram] = []
+        for broker_id in sorted(ledgers):
+            ledger = ledgers[broker_id]
             numbers = ledger.numbers
             rows.append(
                 BrokerHealth(
@@ -321,7 +285,7 @@ class ClusterHealthAggregator:
         )
 
 
-class FleetMonitor:
+class FleetMonitor(HistoryConsole):
     """The O(clusters) console: merges cluster summaries into fleet state.
 
     Keeps bounded per-cluster summary history, records key per-cluster
@@ -334,44 +298,28 @@ class FleetMonitor:
         self,
         host: Host,
         broker: Broker,
-        client_id: str = "fleet-console",
+        client_id: str = CONSOLE_NAME,
         history_limit: int = DEFAULT_SUMMARY_HISTORY,
         stale_timeout_s: float = 15.0,
         keepalive_interval_s: Optional[float] = None,
         failover_brokers: Optional[List[Broker]] = None,
     ):
-        if history_limit < 2:
-            raise ValueError("history_limit must be at least 2")
-        self.history_limit = history_limit
-        self.stale_timeout_s = stale_timeout_s
-        self.sim = broker.sim
-        self.client = BrokerClient(
-            host, client_id=client_id,
-            keepalive_interval_s=keepalive_interval_s,
-        )
-        if failover_brokers:
-            self.client.set_failover_brokers(failover_brokers)
-        self.client.connect(broker)
-        self.history: Dict[str, Deque[ClusterHealthSummary]] = {}
         self.store = SeriesStore()
         self.summaries_received = 0
-        self.duplicate_summaries = 0
-        self.client.subscribe(f"{HEALTH_TOPIC_PREFIX}/#", self._on_summary)
+        super().__init__(
+            host, broker, client_id, f"{HEALTH_TOPIC_PREFIX}/#",
+            self._on_summary, history_limit, stale_timeout_s,
+            keepalive_interval_s, failover_brokers,
+        )
 
     def _on_summary(self, event: NBEvent) -> None:
         summary = event.payload
         if not isinstance(summary, ClusterHealthSummary):
             return
         self.summaries_received += 1
-        window = self.history.get(summary.cluster_id)
-        if window is None:
-            window = self.history[summary.cluster_id] = deque(
-                maxlen=self.history_limit
-            )
-        if window and window[-1].at >= summary.at:
-            self.duplicate_summaries += 1
+        if self._is_duplicate(summary.cluster_id, summary.at):
             return
-        window.append(summary)
+        self._append(summary.cluster_id, summary)
         prefix = f"cluster.{summary.cluster_id}"
         at = summary.at
         self.store.record(f"{prefix}.outbox_depth", at, summary.outbox_depth())
@@ -390,10 +338,6 @@ class FleetMonitor:
     def clusters_seen(self) -> List[str]:
         return sorted(self.history)
 
-    def latest(self, cluster_id: str) -> Optional[ClusterHealthSummary]:
-        window = self.history.get(cluster_id)
-        return window[-1] if window else None
-
     def broker_rows(self) -> Dict[str, BrokerHealth]:
         """Latest condensed row per broker, across every cluster."""
         rows: Dict[str, BrokerHealth] = {}
@@ -411,7 +355,7 @@ class FleetMonitor:
             return []
         return sorted(row.broker_id for row in summary.brokers)
 
-    def fleet_sketch(self) -> HistogramSketch:
+    def fleet_sketch(self) -> Histogram:
         """Fleet-wide delivery-latency sketch (clusters merged again)."""
         return merge_sketches(
             window[-1].sketch
@@ -433,13 +377,13 @@ class FleetMonitor:
         """Clusters whose newest summary is older than ``timeout_s`` —
         the cluster-level analogue of a silent broker (both gateways
         down, or the overlay path to the console severed)."""
-        horizon = self.sim.now - (
-            timeout_s if timeout_s is not None else self.stale_timeout_s
-        )
-        return sorted(
-            cluster_id
-            for cluster_id, window in self.history.items()
-            if window and window[-1].at < horizon
+        return self._stale(
+            (
+                (cluster_id, window[-1].at)
+                for cluster_id, window in self.history.items()
+                if window
+            ),
+            timeout_s,
         )
 
     @property
@@ -455,34 +399,27 @@ class FleetMonitor:
 class TelemetryPlane:
     """Builds and owns the telemetry machinery for one broker fabric.
 
-    * clustered fabric → delta monitors on cluster-scoped topics, one
+    Every broker runs a :class:`~repro.broker.monitor.BrokerMonitor`.
+
+    * clustered fabric → monitors on cluster-scoped topics, one
       :class:`ClusterHealthAggregator` per gateway broker, one
       :class:`FleetMonitor` console;
-    * flat fabric → classic full-sample monitors and a wildcard
+    * flat fabric → one wildcard
       :class:`~repro.broker.monitor.MonitoringClient` console.
 
-    Construct via :meth:`repro.broker.network.BrokerNetwork.attach_telemetry`
-    after the topology is built, then :meth:`start`.
+    Aggregators summarize at the sample interval.  Construct via
+    :meth:`repro.broker.network.BrokerNetwork.attach_telemetry` after
+    the topology is built, then :meth:`start`.
     """
 
     def __init__(
         self,
         fabric,
         sample_interval_s: float = 1.0,
-        summary_interval_s: Optional[float] = None,
-        full_every: int = 8,
         stale_timeout_s: Optional[float] = None,
-        history_limit: int = DEFAULT_SUMMARY_HISTORY,
-        console_broker: Optional[Broker] = None,
-        console_name: str = "fleet-console",
     ):
         self.fabric = fabric
         self.sample_interval_s = sample_interval_s
-        self.summary_interval_s = (
-            summary_interval_s
-            if summary_interval_s is not None
-            else sample_interval_s
-        )
         self.stale_timeout_s = (
             stale_timeout_s
             if stale_timeout_s is not None
@@ -503,8 +440,6 @@ class TelemetryPlane:
                 BrokerMonitor(
                     broker,
                     interval_s=sample_interval_s,
-                    delta=self.hierarchical,
-                    full_every=full_every,
                     topic=monitor_topic(broker.broker_id, cluster_id),
                 )
             )
@@ -515,11 +450,11 @@ class TelemetryPlane:
                         ClusterHealthAggregator(
                             fabric.broker(gateway_name),
                             cluster_id,
-                            interval_s=self.summary_interval_s,
+                            interval_s=sample_interval_s,
                             stale_timeout_s=self.stale_timeout_s,
                         )
                     )
-            anchor = console_broker or self.aggregators[0].broker
+            anchor = self.aggregators[0].broker
             # The console must outlive its anchor: keepalive probes the
             # connection, the other gateways serve as failover targets
             # (the failover replays the /narada/health/# subscription).
@@ -531,23 +466,20 @@ class TelemetryPlane:
                     seen_brokers.add(gateway.broker_id)
                     fallbacks.append(gateway)
             self.fleet = FleetMonitor(
-                fabric.network.create_host(console_name),
+                fabric.network.create_host(CONSOLE_NAME),
                 anchor,
-                client_id=console_name,
-                history_limit=history_limit,
                 stale_timeout_s=max(
-                    self.stale_timeout_s, 3.0 * self.summary_interval_s
+                    self.stale_timeout_s, 3.0 * sample_interval_s
                 ),
-                keepalive_interval_s=self.summary_interval_s,
+                keepalive_interval_s=sample_interval_s,
                 failover_brokers=fallbacks,
             )
         else:
-            anchor = console_broker or brokers[0]
             self.console = MonitoringClient(
-                fabric.network.create_host(console_name),
-                anchor,
-                client_id=console_name,
-                history_limit=history_limit,
+                fabric.network.create_host(CONSOLE_NAME),
+                brokers[0],
+                client_id=CONSOLE_NAME,
+                history_limit=DEFAULT_SUMMARY_HISTORY,
                 stale_timeout_s=self.stale_timeout_s,
             )
 

@@ -3,11 +3,11 @@
 Every subsystem that used to keep ad-hoc integer counter attributes
 (brokers, gateways, the session server) now registers them in a
 :class:`MetricsRegistry`, which becomes the *single source of truth* for
-telemetry snapshots: ``Broker.statistics()`` and
-:class:`~repro.broker.monitor.BrokerSample` are both generated from the
-registry, so a counter added in one place can no longer silently drift
-out of the other (a lint test walks ``broker.py`` for mutated counters
-and fails on any that were never registered).
+telemetry snapshots: ``Broker.statistics()`` and the monitor samples
+built from it (:func:`repro.broker.monitor.sample_numbers`) are
+generated from the registry, so a counter added in one place can no
+longer silently drift out of the other (a lint test walks ``broker.py``
+for mutated counters and fails on any that were never registered).
 
 Two registration styles:
 
@@ -21,7 +21,9 @@ Histograms use fixed bucket bounds (no per-observation allocation) and
 export p50/p95/p99 by linear interpolation *within* the bucket the
 quantile rank falls in — the MonALISA-style "good enough to alert on"
 percentile without the up-to-one-bucket-width upward bias that
-reporting the bucket's upper edge used to add.
+reporting the bucket's upper edge used to add.  Histograms with the
+same bounds also merge exactly, so a copy of one is the mergeable
+sketch the telemetry plane ships (see :mod:`repro.obs.series`).
 """
 
 from __future__ import annotations
@@ -60,9 +62,8 @@ def bucket_quantile(
     bucket and the estimate interpolates linearly between the bucket's
     lower and upper edge (the overflow bucket interpolates up to the
     observed maximum), assuming observations spread evenly within a
-    bucket.  Shared by :class:`Histogram` and the mergeable
-    :class:`~repro.obs.series.HistogramSketch` so local and fleet-merged
-    percentiles agree bucket-for-bucket.
+    bucket.  Local and fleet-merged :class:`Histogram` percentiles
+    therefore agree bucket-for-bucket.
     """
     if count == 0:
         return 0.0
@@ -107,6 +108,14 @@ class Histogram:
     interpolates within the bucket containing the requested rank (see
     :func:`bucket_quantile`), so the estimate is off by at most the
     width of that bucket rather than always sitting at its upper edge.
+
+    Two histograms over the *same* bounds merge exactly: counts, totals
+    and maxima add or compare bucket-wise, so :meth:`merge` is
+    associative and commutative with the empty histogram as identity,
+    and the quantile of a merge is within one bucket width of the
+    quantile over the union of the observations.  That is what lets a
+    cluster gateway fold its leaves' delivery-latency histograms into
+    one and the fleet console fold the per-cluster ones again.
     """
 
     __slots__ = ("name", "bounds", "counts", "count", "sum", "max")
@@ -132,6 +141,66 @@ class Histogram:
 
     def quantile(self, q: float) -> float:
         return bucket_quantile(self.bounds, self.counts, self.count, self.max, q)
+
+    def bucket_width_at(self, q: float) -> float:
+        """Width of the bucket the ``q`` rank falls in — the worst-case
+        quantile error (overflow: distance last-bound → max)."""
+        if self.count == 0:
+            return 0.0
+        rank = q * self.count
+        cumulative = 0
+        for index, bucket_count in enumerate(self.counts):
+            cumulative += bucket_count
+            if bucket_count and cumulative >= rank:
+                lower = self.bounds[index - 1] if index > 0 else 0.0
+                upper = (
+                    self.bounds[index]
+                    if index < len(self.bounds)
+                    else max(self.max, lower)
+                )
+                return upper - lower
+        return 0.0
+
+    def copy(self) -> "Histogram":
+        clone = Histogram(self.name, self.bounds)
+        clone.counts = list(self.counts)
+        clone.count = self.count
+        clone.sum = self.sum
+        clone.max = self.max
+        return clone
+
+    def merge(self, other: "Histogram") -> "Histogram":
+        """Fold ``other`` into this histogram (in place; returns self)."""
+        if other.bounds != self.bounds:
+            raise ValueError(
+                "cannot merge histograms with different bucket bounds"
+            )
+        for index, bucket_count in enumerate(other.counts):
+            self.counts[index] += bucket_count
+        self.count += other.count
+        self.sum += other.sum
+        if other.max > self.max:
+            self.max = other.max
+        return self
+
+    def __eq__(self, other: object) -> bool:
+        """Same bounds and same observations; the name is a label."""
+        if not isinstance(other, Histogram):
+            return NotImplemented
+        return (
+            self.bounds == other.bounds
+            and self.counts == other.counts
+            and self.count == other.count
+            and self.sum == other.sum
+            and self.max == other.max
+        )
+
+    def __hash__(self) -> int:  # histograms are mutable; identity hash
+        return id(self)
+
+    def wire_size(self) -> int:
+        """Modeled encoded size: 4 B per bucket count + 16 B header."""
+        return 16 + 4 * len(self.counts)
 
     def summary(self) -> Dict[str, float]:
         return {

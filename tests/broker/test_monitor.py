@@ -3,7 +3,13 @@
 import pytest
 
 from repro.broker import Broker, BrokerClient, BrokerNetwork
-from repro.broker.monitor import BrokerMonitor, BrokerSample, MonitoringClient
+from repro.broker.monitor import (
+    BrokerMonitor,
+    DeltaSample,
+    MonitoringClient,
+    MonitorSnapshot,
+    sample_numbers,
+)
 
 from tests.broker.conftest import make_client
 
@@ -19,7 +25,7 @@ def test_monitor_publishes_samples(net, sim):
     assert console.brokers_seen() == ["b0"]
     samples = console.history["b0"]
     assert len(samples) == 5
-    assert all(isinstance(s, BrokerSample) for s in samples)
+    assert all(isinstance(s, MonitorSnapshot) for s in samples)
     # Time advances between samples.
     assert samples[0].at < samples[-1].at
 
@@ -38,9 +44,9 @@ def test_samples_reflect_load(net, sim):
     sim.run_for(8.0)
     latest = console.latest("b0")
     assert latest is not None
-    assert latest.events_delivered >= 100
+    assert latest.counters["events_delivered"] >= 100
     # The console's own client + pub + sub + the monitor's client.
-    assert latest.clients == 4
+    assert latest.counters["clients"] == 4
     assert console.delivery_rate("b0") > 5.0
 
 
@@ -69,8 +75,8 @@ def test_history_is_capped_and_drops_counted(net, sim):
     sim.run_for(0.5)  # drain the last in-flight sample
     window = console.history["b0"]
     assert len(window) == 3
-    assert console.dropped_samples == monitor.samples_published - 3
-    assert console.dropped_samples > 0
+    assert console.dropped == monitor.samples_published - 3
+    assert console.dropped > 0
     # The cap keeps the NEWEST samples.
     assert window[-1].at == max(s.at for s in window)
     assert window[0].at > 0.5  # the earliest samples were evicted
@@ -90,11 +96,14 @@ def test_duplicate_samples_dropped(net, sim):
     broker = Broker(net.create_host("broker-host"), broker_id="b0")
     console = MonitoringClient(net.create_host("console-host"), broker)
     sim.run_for(0.5)
-    sample = BrokerSample.capture(broker)
+    sample = DeltaSample(
+        "b0", sim.now, 1, True, sample_numbers(broker),
+        broker.delivery_latency.copy(),
+    )
     for _ in range(3):  # e.g. republished across a failover replay
         console._on_sample(types.SimpleNamespace(payload=sample))
     assert len(console.history["b0"]) == 1
-    assert console.duplicate_samples == 2
+    assert console.duplicates == 2
     console._on_sample(types.SimpleNamespace(payload="not-a-sample"))
     assert len(console.history["b0"]) == 1
 
@@ -140,16 +149,16 @@ def test_monitor_observes_client_reaping(net, sim):
     victim.subscribe("/t", lambda e: None)
     sim.run_for(0.5)
     monitor.start()
-    assert BrokerSample.capture(broker).local_subscriptions == 2
+    assert sample_numbers(broker)["local_subscriptions"] == 2
 
     sim.run_for(5.0)
     monitor.stop()
     latest = console.latest("b0")
     assert latest is not None
-    assert latest.clients_reaped == 1
+    assert latest.counters["clients_reaped"] == 1
     # The corpse's interest was expired with it (console's /narada sub
     # is the one that remains).
-    assert latest.local_subscriptions == 1
+    assert latest.counters["local_subscriptions"] == 1
 
 
 def test_stop_halts_sampling(net, sim):

@@ -12,6 +12,7 @@ import pytest
 
 from repro.broker import Broker, BrokerNetwork
 from repro.broker.monitor import (
+    FULL_EVERY,
     BrokerMonitor,
     DeltaSample,
     MonitoringClient,
@@ -24,6 +25,7 @@ from repro.obs.aggregate import (
     health_topic,
 )
 from repro.obs.report import build_report, render_report
+from repro.obs.series import merge_counter_totals
 
 from .conftest import make_client
 
@@ -44,20 +46,22 @@ def make_delta_sample(broker_id, at, seq, full, counters, sketch=None):
 class TestDeltaMonitor:
     def test_delta_monitor_publishes_full_then_deltas(self, net, sim):
         broker = Broker(net.create_host("b-host"), broker_id="b0")
-        monitor = BrokerMonitor(broker, interval_s=1.0, delta=True,
-                                full_every=4)
+        monitor = BrokerMonitor(broker, interval_s=1.0)
         received = []
         watcher = make_client(net, sim, broker, "watch")
         watcher.subscribe("/narada/monitor/#", received.append)
         monitor.start()
-        sim.run_for(6.5)
+        sim.run_for(FULL_EVERY + 2.5)
         monitor.stop()
         samples = [event.payload for event in received]
         assert all(isinstance(sample, DeltaSample) for sample in samples)
         assert samples[0].full  # the first sample re-bases consumers
-        # full_every=4: fulls at ticks 1, 5, ... deltas between.
+        # Fulls at ticks 1, FULL_EVERY + 1, ... deltas between.
         fulls = [sample.full for sample in samples]
-        assert fulls[:5] == [True, False, False, False, True]
+        assert len(fulls) > FULL_EVERY + 1
+        assert fulls[:FULL_EVERY + 1] == (
+            [True] + [False] * (FULL_EVERY - 1) + [True]
+        )
         # Sequence numbers are gapless from this monitor.
         assert [sample.seq for sample in samples] == list(
             range(1, len(samples) + 1)
@@ -81,61 +85,94 @@ class TestDeltaMonitor:
 
 
 class TestAggregatorResync:
-    def make_aggregator(self, net, sim):
+    """The sample ledger's resync rules, as the cluster aggregator
+    applies them; :class:`TestConsoleResync` runs the same cases against
+    the flat console, the ledger's other consumer."""
+
+    def make_consumer(self, net, sim):
         broker = Broker(net.create_host("b-host"), broker_id="b0")
         sim.run_for(0.5)
         return ClusterHealthAggregator(broker, "c0", stale_timeout_s=5.0)
 
-    def ingest(self, aggregator, sample):
-        import types
-
-        aggregator._on_sample(types.SimpleNamespace(payload=sample))
-
-    def test_in_sequence_deltas_apply(self, net, sim):
-        aggregator = self.make_aggregator(net, sim)
-        self.ingest(aggregator, make_delta_sample(
-            "leaf-0", 1.0, 1, True, {"events_delivered": 10, "clients": 2}))
-        self.ingest(aggregator, make_delta_sample(
-            "leaf-0", 2.0, 2, False, {"events_delivered": 25}))
+    def merged(self, aggregator):
+        """Counters merged over synced brokers, and the unsynced ones."""
         summary = aggregator.build_summary()
         assert isinstance(summary, ClusterHealthSummary)
-        assert summary.counters["events_delivered"] == 25
-        assert summary.counters["clients"] == 2  # unchanged key retained
-        assert summary.unsynced_brokers == ()
+        return summary.counters, summary.unsynced_brokers
+
+    def ingest(self, consumer, sample):
+        import types
+
+        consumer._on_sample(types.SimpleNamespace(payload=sample))
+
+    def test_in_sequence_deltas_apply(self, net, sim):
+        consumer = self.make_consumer(net, sim)
+        self.ingest(consumer, make_delta_sample(
+            "leaf-0", 1.0, 1, True, {"events_delivered": 10, "clients": 2}))
+        self.ingest(consumer, make_delta_sample(
+            "leaf-0", 2.0, 2, False, {"events_delivered": 25}))
+        counters, unsynced = self.merged(consumer)
+        assert counters["events_delivered"] == 25
+        assert counters["clients"] == 2  # unchanged key retained
+        assert unsynced == ()
 
     def test_gap_marks_unsynced_until_next_full(self, net, sim):
-        aggregator = self.make_aggregator(net, sim)
-        self.ingest(aggregator, make_delta_sample(
+        consumer = self.make_consumer(net, sim)
+        self.ingest(consumer, make_delta_sample(
             "leaf-0", 1.0, 1, True, {"events_delivered": 10}))
         # seq 2 lost; seq 3 arrives — partial state must not be merged.
-        self.ingest(aggregator, make_delta_sample(
+        self.ingest(consumer, make_delta_sample(
             "leaf-0", 3.0, 3, False, {"events_delivered": 40}))
-        assert aggregator.delta_gaps == 1
-        summary = aggregator.build_summary()
-        assert summary.unsynced_brokers == ("leaf-0",)
-        assert "events_delivered" not in summary.counters  # excluded
+        assert consumer.ledger.delta_gaps == 1
+        counters, unsynced = self.merged(consumer)
+        assert unsynced == ("leaf-0",)
+        assert "events_delivered" not in counters  # excluded
         # The next full snapshot re-bases the ledger.
-        self.ingest(aggregator, make_delta_sample(
+        self.ingest(consumer, make_delta_sample(
             "leaf-0", 4.0, 4, True, {"events_delivered": 55}))
-        assert aggregator.resyncs == 1
-        summary = aggregator.build_summary()
-        assert summary.unsynced_brokers == ()
-        assert summary.counters["events_delivered"] == 55
+        assert consumer.ledger.resyncs == 1
+        counters, unsynced = self.merged(consumer)
+        assert unsynced == ()
+        assert counters["events_delivered"] == 55
 
     def test_delta_before_any_full_stays_unsynced(self, net, sim):
-        aggregator = self.make_aggregator(net, sim)
-        # An aggregator that starts mid-stream sees a delta first.
-        self.ingest(aggregator, make_delta_sample(
+        consumer = self.make_consumer(net, sim)
+        # A consumer that starts mid-stream sees a delta first.
+        self.ingest(consumer, make_delta_sample(
             "leaf-0", 5.0, 17, False, {"events_delivered": 99}))
-        summary = aggregator.build_summary()
-        assert summary.unsynced_brokers == ("leaf-0",)
-        self.ingest(aggregator, make_delta_sample(
+        _counters, unsynced = self.merged(consumer)
+        assert unsynced == ("leaf-0",)
+        self.ingest(consumer, make_delta_sample(
             "leaf-0", 6.0, 18, True, {"events_delivered": 104}))
-        assert aggregator.build_summary().unsynced_brokers == ()
+        _counters, unsynced = self.merged(consumer)
+        assert unsynced == ()
 
     def test_empty_aggregator_builds_nothing(self, net, sim):
-        aggregator = self.make_aggregator(net, sim)
+        aggregator = self.make_consumer(net, sim)
         assert aggregator.build_summary() is None
+
+
+class TestConsoleResync(TestAggregatorResync):
+    def make_consumer(self, net, sim):
+        broker = Broker(net.create_host("b-host"), broker_id="b0")
+        sim.run_for(0.5)
+        return MonitoringClient(
+            net.create_host("console-host"), broker, stale_timeout_s=5.0
+        )
+
+    def merged(self, console):
+        unsynced = tuple(console.unsynced_brokers())
+        counters = merge_counter_totals(
+            console.latest(broker_id).counters
+            for broker_id in console.brokers_seen()
+            if broker_id not in unsynced
+        )
+        return counters, unsynced
+
+    def test_empty_aggregator_builds_nothing(self, net, sim):
+        console = self.make_consumer(net, sim)
+        assert console.brokers_seen() == []
+        assert console.latest("leaf-0") is None
 
 
 # ------------------------------------------------------------- integration

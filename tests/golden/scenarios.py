@@ -336,7 +336,12 @@ def flat_telemetry(seed: int) -> Fingerprint:
         console.samples_received,
         console.stale_brokers(),
         [
-            [broker_id, latest.events_delivered, latest.clients]
+            [broker_id] + (
+                [None, None] if latest is None else [
+                    latest.counters["events_delivered"],
+                    latest.counters["clients"],
+                ]
+            )
             for broker_id in console.brokers_seen()
             for latest in [console.latest(broker_id)]
         ],

@@ -1,11 +1,10 @@
-"""Time-series ring buffers, mergeable sketches, delta encoding."""
+"""Time-series ring buffers, mergeable histograms, delta encoding."""
 
 import pytest
 
 from repro.obs.metrics import Histogram
 from repro.obs.series import (
     TIER_WIDTHS_S,
-    HistogramSketch,
     SeriesStore,
     TimeSeries,
     delta_encode,
@@ -84,14 +83,14 @@ def test_series_store_creates_and_reuses():
     assert store.get("missing") is None
 
 
-# ---------------------------------------------------------- HistogramSketch
+# ------------------------------------------ Histogram as a mergeable sketch
 
 
 def make_sketch(values, bounds=(0.1, 0.5, 1.0)):
     histogram = Histogram("lat", bounds=bounds)
     for value in values:
         histogram.observe(value)
-    return HistogramSketch.from_histogram(histogram)
+    return histogram.copy()
 
 
 def test_sketch_mirrors_histogram():
@@ -100,6 +99,7 @@ def test_sketch_mirrors_histogram():
     histogram = Histogram("lat", bounds=(0.1, 0.5, 1.0))
     for value in values:
         histogram.observe(value)
+    assert sketch == histogram and sketch is not histogram
     assert sketch.count == 5
     assert sketch.counts == histogram.counts
     assert sketch.quantile(0.99) == histogram.quantile(0.99)
@@ -128,7 +128,7 @@ def test_sketch_merge_is_associative():
 
 def test_sketch_empty_merge_is_identity():
     a = make_sketch((0.05, 0.3, 0.9))
-    empty = HistogramSketch(a.bounds)
+    empty = Histogram("empty", a.bounds)
     assert a.copy().merge(empty) == a
     assert empty.copy().merge(a) == a
     assert merge_sketches([], bounds=a.bounds).count == 0
