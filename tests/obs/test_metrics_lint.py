@@ -6,9 +6,9 @@ shared versioned-flood table) for ``self.<name> += ...`` and
 ``self.broker.<name> += ...`` statements, and fails if any mutated
 public attribute is missing from the broker's metrics registry.  This is
 the enforcement half of the single-source-of-truth design:
-``Broker.statistics()`` and ``BrokerSample`` are generated from the
-registry, so an unregistered counter would silently vanish from the
-whole monitoring surface.
+``Broker.statistics()`` is generated from the registry and every monitor
+sample carries it whole, so an unregistered counter would silently
+vanish from the whole monitoring surface.
 """
 
 import ast
