@@ -255,13 +255,6 @@ class SampleLedger:
         ledger.last_at = sample.at
         return ledger
 
-    def unsynced(self) -> List[str]:
-        return sorted(
-            broker_id
-            for broker_id, ledger in self.brokers.items()
-            if not ledger.synced
-        )
-
 
 class HistoryConsole:
     """What every telemetry console shares.
@@ -395,7 +388,11 @@ class MonitoringClient(HistoryConsole):
 
     def unsynced_brokers(self) -> List[str]:
         """Brokers waiting for a full sample after a gap."""
-        return self.ledger.unsynced()
+        return sorted(
+            broker_id
+            for broker_id, ledger in self.ledger.brokers.items()
+            if not ledger.synced
+        )
 
     def stale_brokers(self, timeout_s: Optional[float] = None) -> List[str]:
         """Brokers whose newest sample is older than ``timeout_s``.
