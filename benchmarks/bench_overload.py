@@ -18,8 +18,10 @@ Gates (the headline is ``BENCH_overload.json``):
 * the audio probe's p99 inter-delivery gap stays within the 1.5 s
   budget through the burst;
 * every broker returns to NORMAL within 2 s of burst end;
-* below the watermarks the controller is bit-identically inert: an
-  enabled run's delivery trace equals a disabled run's.
+* below the watermarks the controller is bit-identically inert: a run's
+  delivery trace equals the trace of a run whose brokers carry a
+  pressure-blind reference controller, whose signals always read 0 so
+  it never leaves NORMAL and sheds, refuses and suppresses nothing.
 
 Run directly for the CI smoke slice:
 
@@ -32,7 +34,7 @@ import sys
 from repro.bench.reporting import json_artifact, simple_table
 from repro.broker.client import BrokerClient
 from repro.broker.network import BrokerNetwork
-from repro.broker.overload import NORMAL, ShedWatermarks
+from repro.broker.overload import NORMAL, OverloadController, ShedWatermarks
 from repro.simnet.chaos import ChaosSchedule
 from repro.simnet.kernel import Simulator
 from repro.simnet.link import LinkProfile
@@ -218,14 +220,21 @@ def run_flash_crowd(cluster_sizes):
     return result
 
 
+def pressure_blind() -> OverloadController:
+    """The inert reference: every pressure signal reads 0, so the
+    controller can never leave NORMAL."""
+    return OverloadController((lambda: 0,) * 3, ShedWatermarks())
+
+
 def determinism_check():
     """Below the watermarks the controller must be bit-identically inert."""
-    def trace_run(overload_enabled):
+    def trace_run(blind):
         sim = Simulator()
         net = Network(sim, SeededStreams(SEED))
-        fabric = BrokerNetwork.clustered(
-            net, [3, 3], link=BROKER_LINK, overload_enabled=overload_enabled
-        )
+        fabric = BrokerNetwork.clustered(net, [3, 3], link=BROKER_LINK)
+        if blind:
+            for broker in fabric.brokers():
+                broker.overload = pressure_blind()
         names = sorted(b.broker_id for b in fabric.brokers())
         trace = []
         subscriber = BrokerClient(net.create_host("sub"), client_id="sub")
@@ -249,7 +258,7 @@ def determinism_check():
         base = min(entry[0] for entry in trace)
         return [(eid - base, topic, at) for eid, topic, at in trace]
 
-    return trace_run(True) == trace_run(False)
+    return trace_run(False) == trace_run(True)
 
 
 def evaluate(result, inert):

@@ -4,12 +4,14 @@ The paper's scaling claim assumes per-event routing work stays flat as
 subscribers and brokers are added.  This harness measures the Python-level
 routing work of the reproduction itself — resolve the fan-out for a hot
 topic at a broker carrying 100+ subscribers in an 8-broker star — with the
-:class:`~repro.broker.route_cache.RouteCache` enabled and disabled, and
-checks two things:
+:class:`~repro.broker.route_cache.RouteCache` every broker runs, against
+an uncached reference: a zero-capacity ``RouteCache(max_entries=0)`` that
+never hits, so every lookup takes the miss (cache-fill) path.  It checks
+two things:
 
 * the cached publish→deliver routing path is **≥2× faster** in wall-clock
   terms than the uncached path (it is typically ≥10×);
-* enabling the cache changes **nothing** about simulated time: per-broker
+* the cache changes **nothing** about simulated time: per-broker
   ``events_routed``/``events_delivered``/``events_forwarded`` and every
   ``sim.now``-based delivery timestamp are bit-identical, so Figure 3
   calibration is untouched.
@@ -25,6 +27,7 @@ from repro.bench.reporting import json_artifact, simple_table
 from repro.bench.workload import GIGABIT_LAN
 from repro.broker.client import BrokerClient
 from repro.broker.network import BrokerNetwork
+from repro.broker.route_cache import RouteCache
 from repro.simnet.kernel import Simulator
 from repro.simnet.network import Network
 from repro.simnet.rng import SeededStreams
@@ -37,14 +40,20 @@ RESOLVE_ITERATIONS = 2000
 TIMING_REPEATS = 5
 
 
-def build_network(route_cache_enabled: bool):
+def uncached_reference() -> RouteCache:
+    """The uncached reference: a cache with no room never hits."""
+    return RouteCache(max_entries=0)
+
+
+def build_network(cached: bool):
     """An 8-broker star with SUBSCRIBERS subscribers spread across it."""
     sim = Simulator()
     net = Network(sim, SeededStreams(0))
     bnet = BrokerNetwork.star(net, leaves=BROKERS - 1, link=GIGABIT_LAN)
     brokers = bnet.brokers()
-    for broker in brokers:
-        broker.route_cache_enabled = route_cache_enabled
+    if not cached:
+        for broker in brokers:
+            broker.route_cache = uncached_reference()
     hub = bnet.broker("broker-hub")
 
     hosts = [
@@ -83,10 +92,10 @@ def test_routing_work_speedup(measure):
     sim, bnet, hub, _sender, _deliveries = build_network(True)
 
     def resolve_uncached():
-        hub.route_cache_enabled = False
+        cache, hub.route_cache = hub.route_cache, uncached_reference()
         for _ in range(RESOLVE_ITERATIONS):
             hub.resolve_route(TOPIC)
-        hub.route_cache_enabled = True
+        hub.route_cache = cache
 
     def resolve_cached():
         hub.resolve_route(TOPIC)  # warm
@@ -157,10 +166,10 @@ def test_routing_work_speedup(measure):
     bnet.close()
 
 
-def run_workload(route_cache_enabled: bool) -> dict:
+def run_workload(cached: bool) -> dict:
     """Publish EVENTS events through the star and collect every result
     that depends on simulated time."""
-    sim, bnet, hub, sender, deliveries = build_network(route_cache_enabled)
+    sim, bnet, hub, sender, deliveries = build_network(cached)
     wall_start = time.perf_counter()
     for i in range(EVENTS):
         sim.schedule(i * 0.01, sender.publish, TOPIC, i, 800)
@@ -195,7 +204,8 @@ def test_cached_path_is_bit_identical(measure):
     stats = cached["cache_stats"]
     # Hot topic served from cache: every publish after the first hits.
     assert stats["hits"] >= EVENTS - 1, stats
-    assert uncached["cache_stats"]["hits"] == 0
+    reference = uncached["cache_stats"]
+    assert reference["hits"] == 0, reference
 
     print(simple_table(
         f"Publish→deliver workload — {EVENTS} events, {SUBSCRIBERS} "
@@ -203,7 +213,8 @@ def test_cached_path_is_bit_identical(measure):
         [
             ("cached", f"{cached['wall_s']:.3f}",
              stats["hits"], stats["misses"]),
-            ("uncached", f"{uncached['wall_s']:.3f}", 0, 0),
+            ("uncached", f"{uncached['wall_s']:.3f}",
+             reference["hits"], reference["misses"]),
         ],
         ("path", "wall s", "cache hits", "cache misses"),
     ))

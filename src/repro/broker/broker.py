@@ -65,7 +65,6 @@ from repro.broker.links import (
     message_size,
 )
 from repro.broker.overload import (
-    DEFAULT_RETRY_AFTER_S,
     NORMAL,
     OverloadController,
     ShedWatermarks,
@@ -168,7 +167,6 @@ class Broker:
         tcp_port: int = TCP_PORT,
         ssl_port: int = SSL_PORT,
         peer_port: int = PEER_PORT,
-        route_cache_enabled: bool = True,
         reap_timeout_s: Optional[float] = None,
         link_state_enabled: bool = False,
         peer_heartbeat_interval_s: Optional[float] = None,
@@ -176,9 +174,7 @@ class Broker:
         tracer: Optional[Tracer] = None,
         cluster_id: Optional[str] = None,
         cluster_gateways: Tuple[str, ...] = (),
-        overload_enabled: bool = True,
         shed_watermarks: Optional[ShedWatermarks] = None,
-        retry_after_s: float = DEFAULT_RETRY_AFTER_S,
         region: Optional[str] = None,
     ):
         self.host = host
@@ -213,7 +209,6 @@ class Broker:
         # Routing fast path: memoized per-topic fan-out plus cached
         # (topic → sequencer) elections per routing generation.
         self.route_cache = RouteCache()
-        self.route_cache_enabled = route_cache_enabled
         self._sequencer_epoch = -1
         self._sequencers: Dict[str, str] = {}
 
@@ -262,26 +257,19 @@ class Broker:
             GeoPlane(self) if region is not None else None
         )
 
-        # Overload protection (opt-out).  The controller is a pure
-        # observer below its watermarks: pressure is read inline at the
-        # dissemination/admission decision points through side-effect-
-        # free signal reads (no timers, no RNG), so an enabled-but-idle
-        # controller leaves the simulation bit-identical to a run with
-        # ``overload_enabled=False`` — the determinism suite pins this.
-        self.overload: Optional[OverloadController] = (
-            OverloadController(
-                (
-                    lambda: self.host.cpu.queue_depth,
-                    lambda: self.host.nic.queued_bytes,
-                    self._outbox_depth,
-                ),
-                shed_watermarks
-                if shed_watermarks is not None
-                else ShedWatermarks(),
-                retry_after_s=retry_after_s,
-            )
-            if overload_enabled
-            else None
+        # Overload protection.  The controller is a pure observer below
+        # its watermarks: pressure is read inline at the dissemination/
+        # admission decision points through side-effect-free signal reads
+        # (no timers, no RNG), so an idle controller leaves the simulation
+        # bit-identical to a run under a pressure-blind controller that
+        # can never leave NORMAL — the determinism suite pins this.
+        self.overload = OverloadController(
+            (
+                lambda: self.host.cpu.queue_depth,
+                lambda: self.host.nic.queued_bytes,
+                self._outbox_depth,
+            ),
+            shed_watermarks if shed_watermarks is not None else ShedWatermarks(),
         )
         #: Overflow evictions of outboxes that have since been closed
         #: (client dropped/reconnected) — keeps the ``outbox_overflows``
@@ -349,11 +337,7 @@ class Broker:
         ):
             self.metrics.expose(
                 overload_name,
-                lambda name=overload_name: (
-                    getattr(self.overload, name)
-                    if self.overload is not None
-                    else 0
-                ),
+                lambda name=overload_name: getattr(self.overload, name),
             )
         self.delivery_latency = self.metrics.histogram(
             "delivery_latency_s", LATENCY_BUCKETS_S
@@ -432,8 +416,6 @@ class Broker:
         """Current overload state (gauge): 0 NORMAL, 1 DEGRADED, 2
         SHEDDING.  Reading refreshes the lazy state machine, so monitor
         samples observe recovery without the controller owning a timer."""
-        if self.overload is None:
-            return NORMAL
         return self.overload.refresh(self.sim.now)
 
     # --------------------------------------------------- peer provisioning
@@ -457,18 +439,18 @@ class Broker:
             self.cluster.set_link(peer_id, intercluster)
         self._peer_last_heard[peer_id] = self.sim.now
         self._peers_changed()
-        if not self.link_state_enabled:
-            return
         cluster = self.cluster
         if cluster is not None and intercluster:
             cluster.link_up(peer_id)  # only the gateway tier changed
             return
-        # A link came up (first wiring, or a partition healed): flood
-        # our new adjacency, reconcile databases via digest exchange,
-        # and re-offer known interest over the new edge so the other
-        # side routes events toward us again.
-        self._originate_lsa()
-        self._send_control(peer_id, self._make_digest())
+        # A link came up (first wiring, a restart, or a healed partition):
+        # autonomous brokers flood their new adjacency and reconcile
+        # databases via digest exchange.  In both modes, known interest
+        # is offered over the new edge only, so the other side routes
+        # events toward us again.
+        if self.link_state_enabled:
+            self._originate_lsa()
+            self._send_control(peer_id, self._make_digest())
         self._sync_subscriptions_to_peer(peer_id)
         if cluster is not None and cluster.on_overlay(peer_id):
             cluster.link_up(peer_id)  # a co-gateway link is both
@@ -530,14 +512,6 @@ class Broker:
             for pattern in list(self._remote_interest.patterns_for(origin)):
                 self._remote_interest.remove(pattern, origin)
 
-    def sync_subscriptions_to_peers(self) -> None:
-        """(Re)advertise all known interest — used when topology changes."""
-        for origin, pattern in self._interest_offers():
-            self._flood_advert(
-                SubAdvert(origin_broker=origin, pattern=pattern, add=True),
-                skip_peer=None,
-            )
-
     def _sync_subscriptions_to_peer(self, peer_id: str) -> None:
         """Offer all known interest over one (newly up) peer link.
 
@@ -545,14 +519,12 @@ class Broker:
         ``skip_peer`` set to us, which is how subscription state crosses
         a healed partition without a full mesh-wide re-flood.
         """
-        for origin, pattern in self._interest_offers(with_proxies=True):
+        for origin, pattern in self._interest_offers():
             advert = SubAdvert(origin_broker=origin, pattern=pattern, add=True)
             self._seen_adverts.add(advert.advert_id)
             self._send_control(peer_id, advert)
 
-    def _interest_offers(
-        self, with_proxies: bool = False
-    ) -> List[Tuple[str, str]]:
+    def _interest_offers(self) -> List[Tuple[str, str]]:
         """(origin, pattern) for every interest we advertise: local
         patterns, then remote interest by origin.  Foreign-gateway
         installs never leave a gateway (members have no routes to those
@@ -570,10 +542,9 @@ class Broker:
                 (origin, pattern)
                 for pattern in self._remote_interest.patterns_for(origin)
             )
-        if with_proxies:
-            offers.extend(
-                (self.broker_id, pattern) for pattern in sorted(proxied - local)
-            )
+        offers.extend(
+            (self.broker_id, pattern) for pattern in sorted(proxied - local)
+        )
         return offers
 
     # --------------------------------------------------------- client I/O
@@ -626,7 +597,7 @@ class Broker:
     ) -> None:
         self.control_messages += 1
         client_id = message.client_id
-        if self.overload is not None and client_id not in self._clients:
+        if client_id not in self._clients:
             # Admission control: a SHEDDING broker refuses *new* clients
             # (an established client reconnecting keeps its session) with
             # a retry-after hint instead of taking on more fan-out work.
@@ -701,14 +672,12 @@ class Broker:
         record = self._clients.get(message.client_id)
         if record is None:
             return
-        if self.overload is not None:
-            admitted, retry_after = self.overload.admit(self.sim.now)
-            if not admitted:
-                self._reply(
-                    record.link,
-                    Busy(message.client_id, "subscribe", retry_after),
-                )
-                return
+        admitted, retry_after = self.overload.admit(self.sim.now)
+        if not admitted:
+            self._reply(
+                record.link, Busy(message.client_id, "subscribe", retry_after)
+            )
+            return
         pattern = validate_pattern(message.pattern)
         advertised = self._advertises(pattern)
         self._local_subs.add(pattern, message.client_id)
@@ -809,8 +778,8 @@ class Broker:
             # is already shedding that class, don't produce it either.
             # The plain state read (no refresh) is NORMAL for the whole
             # run whenever the watermarks never trip, so sampling stays
-            # bit-identical to an unprotected run in that regime.
-            if self.overload is not None and self.overload.state != NORMAL:
+            # bit-identical to a pressure-blind run in that regime.
+            if self.overload.state != NORMAL:
                 self.traces_suppressed += 1
             elif self.tracer.sample(event, self.sim.now) is not None:
                 self.traces_started += 1
@@ -946,10 +915,9 @@ class Broker:
     def resolve_route(self, topic: str) -> RouteEntry:
         """Resolve the full fan-out for ``topic`` (cached when fresh)."""
         generation = self.routing_generation()
-        if self.route_cache_enabled:
-            entry = self.route_cache.lookup(topic, generation)
-            if entry is not None:
-                return entry
+        entry = self.route_cache.lookup(topic, generation)
+        if entry is not None:
+            return entry
         local = tuple(sorted(self._local_subs.match(topic)))
         remote = self._remote_interest.match(topic)
         remote.discard(self.broker_id)
@@ -962,8 +930,7 @@ class Broker:
             intra_targets=intra,
             inter_targets=inter,
         )
-        if self.route_cache_enabled:
-            self.route_cache.store(topic, entry)
+        self.route_cache.store(topic, entry)
         return entry
 
     def _compute_groups(self, targets: Set[str]) -> NextHopGroups:
@@ -988,9 +955,7 @@ class Broker:
         """
         if self._closed:
             return
-        if self.overload is not None and self.overload.should_shed(
-            event.priority, self.sim.now
-        ):
+        if self.overload.should_shed(event.priority, self.sim.now):
             return  # shed before fan-out: no delivery, no forwarding
         self.events_routed += 1
         entry = self.resolve_route(event.topic)
@@ -1099,14 +1064,11 @@ class Broker:
 
     def _forward_to_targets(self, event: NBEvent, targets: Set[str]) -> None:
         key = frozenset(targets)
-        if self.route_cache_enabled:
-            groups = self.route_cache.lookup_groups(key, self._routes_gen)
-            if groups is None:
-                groups = self.route_cache.store_groups(
-                    key, self._routes_gen, self._compute_groups(key)
-                )
-        else:
-            groups = self._compute_groups(key)
+        groups = self.route_cache.lookup_groups(key, self._routes_gen)
+        if groups is None:
+            groups = self.route_cache.store_groups(
+                key, self._routes_gen, self._compute_groups(key)
+            )
         if self.geo is not None and event.reliable:
             self.geo.track_reliable(event, key, groups)
         self._forward_groups(event, groups)
@@ -1201,9 +1163,7 @@ class Broker:
         self, peer_event: PeerEvent, from_peer: Optional[str] = None
     ) -> None:
         event = peer_event.event
-        if self.overload is not None and self.overload.should_shed(
-            event.priority, self.sim.now
-        ):
+        if self.overload.should_shed(event.priority, self.sim.now):
             return  # shed in transit: neither delivered nor re-forwarded
         hop = self._begin_hop(event)
         targets = set(peer_event.targets)

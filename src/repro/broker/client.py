@@ -6,8 +6,8 @@ wildcard patterns, publish events.  Operations issued before the connect
 handshake completes are queued and flushed on ``ConnectAck``.
 
 Failover (the paper's "dynamic broker collections" surviving broker
-churn): with keepalive enabled the client probes broker liveness over the
-control plane; when the link goes dark it tears the transport down,
+churn): with keepalive enabled (``keepalive_interval_s=``) the client
+probes broker liveness over the control plane; when the link goes dark it tears the transport down,
 resets inbox state coherently, and — if failover candidates are
 registered — reconnects with exponential backoff, re-issuing ``Connect``
 and replaying every registered subscription on the new broker.  The
@@ -58,8 +58,6 @@ EventHandler = Callable[[NBEvent], None]
 CONTROL_RETRY_S = 0.5
 MAX_CONTROL_RETRIES = 20
 
-#: Default keepalive probe cadence once enabled.
-KEEPALIVE_INTERVAL_S = 1.0
 #: Consecutive unacknowledged probes before the link is declared dead.
 KEEPALIVE_MISS_LIMIT = 3
 #: Exponential-backoff ceiling between failover reconnect attempts.
@@ -245,17 +243,6 @@ class BrokerClient:
     def set_failover_brokers(self, brokers: List[Broker]) -> None:
         """Candidate brokers to reconnect to (in order) on link loss."""
         self._failover_brokers = list(brokers)
-
-    def start_keepalive(
-        self,
-        interval_s: float = KEEPALIVE_INTERVAL_S,
-        miss_limit: int = KEEPALIVE_MISS_LIMIT,
-    ) -> None:
-        """Enable liveness probing of the current broker link."""
-        self.keepalive_interval_s = interval_s
-        self.keepalive_miss_limit = miss_limit
-        if self.connected and self._keepalive_timer is None:
-            self._arm_keepalive()
 
     def _arm_keepalive(self) -> None:
         self._keepalive_timer = self.sim.schedule(

@@ -6,15 +6,18 @@ Builds a graph of brokers over simulated hosts and wires peer links — the
 * **Central** (default, ``autonomous=False``): this object computes every
   broker's shortest-path next-hop table with the router the brokers run
   themselves (:func:`~repro.broker.flood.shortest_paths`), pushes it
-  with ``set_routes`` whenever topology changes, and re-syncs
-  subscription adverts itself.  Deterministic and instant — right for
-  calibration benchmarks where failure handling is not under test.
+  with ``set_routes`` whenever topology changes, crashes and restarts
+  included.  Deterministic and instant — right for calibration benchmarks
+  where failure handling is not under test.
 * **Autonomous** (``autonomous=True``): brokers run peer heartbeats and
   flooded link-state adverts, detect dead peers themselves, and compute
   their own routes; this object shrinks to a topology builder plus a
   chaos driver (``crash_broker`` / ``restart_broker`` / ``cut_link`` /
   ``restore_link`` / ``partition`` / ``heal``) that injects faults
   *without telling anyone* — detection and repair are the mesh's job.
+
+In both modes a link coming up syncs interest the same way: each endpoint
+offers what it knows over the new link only (:meth:`Broker.add_peer`).
 
 Topology builders cover the shapes used by the benchmarks: a single
 broker, a chain, a star, a ring, and the hierarchical cluster /
@@ -27,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.broker.broker import Broker
 from repro.broker.flood import shortest_paths
-from repro.broker.overload import DEFAULT_RETRY_AFTER_S, ShedWatermarks
+from repro.broker.overload import ShedWatermarks
 from repro.broker.profile import BrokerProfile, NARADA_PROFILE
 from repro.obs.trace import Tracer
 from repro.simnet.link import LAN_1G, LinkProfile
@@ -37,6 +40,10 @@ from repro.simnet.node import Host
 #: Default peer-heartbeat interval when ``autonomous`` is on and no
 #: explicit interval was given.
 DEFAULT_PEER_HEARTBEAT_S = 1.0
+
+#: Gateway brokers provisioned per cluster: the lowest live one is
+#: active, the rest are hot standbys that take over on its death.
+GATEWAYS_PER_CLUSTER = 2
 
 
 def _membership(
@@ -73,10 +80,7 @@ class BrokerNetwork:
         peer_miss_limit: int = 3,
         tracer: Optional[Tracer] = None,
         clusters: Optional[Dict[str, Sequence[str]]] = None,
-        gateways_per_cluster: int = 2,
-        overload_enabled: bool = True,
         shed_watermarks: Optional[ShedWatermarks] = None,
-        retry_after_s: float = DEFAULT_RETRY_AFTER_S,
         regions: Optional[Dict[str, Sequence[str]]] = None,
     ):
         self.network = network
@@ -114,13 +118,11 @@ class BrokerNetwork:
                     "clusters= requires autonomous=True (gateway election "
                     "and scoped flooding are mesh-driven)"
                 )
-            if gateways_per_cluster < 1:
-                raise ValueError("gateways_per_cluster must be >= 1")
             for cluster_id, members in self.clusters.items():
                 if not members:
                     raise ValueError(f"cluster {cluster_id!r} has no members")
                 self._gateways_of[cluster_id] = tuple(
-                    members[: min(gateways_per_cluster, len(members))]
+                    members[:GATEWAYS_PER_CLUSTER]
                 )
         #: Shared by every broker in the collection, so the sampling
         #: budget (1-in-N) is collection-wide and survives restarts.
@@ -131,11 +133,9 @@ class BrokerNetwork:
             else (DEFAULT_PEER_HEARTBEAT_S if autonomous else None)
         )
         self.peer_miss_limit = peer_miss_limit
-        # Overload-protection knobs, threaded to every broker (including
-        # restarts, so a broker comes back with the same watermarks).
-        self.overload_enabled = overload_enabled
+        # Threaded to every broker (including restarts, so a broker
+        # comes back with the same watermarks).
         self.shed_watermarks = shed_watermarks
-        self.retry_after_s = retry_after_s
         #: Ground-truth topology: broker → directly peered brokers, in
         #: broker-add order (crashed brokers leave it until restarted).
         self.graph: Dict[str, Set[str]] = {}
@@ -186,9 +186,7 @@ class BrokerNetwork:
             cluster_gateways=(
                 self._gateways_of[cluster_id] if cluster_id is not None else ()
             ),
-            overload_enabled=self.overload_enabled,
             shed_watermarks=self.shed_watermarks,
-            retry_after_s=self.retry_after_s,
             region=self._region_of.get(name),
         )
 
@@ -211,9 +209,10 @@ class BrokerNetwork:
         return self._region_of.get(name)
 
     def connect(self, a: str, b: str) -> None:
-        """Create a peer link between brokers ``a`` and ``b``."""
-        broker_a = self.broker(a)
-        broker_b = self.broker(b)
+        """Create a peer link between brokers ``a`` and ``b``.  Each
+        endpoint offers its known interest over the new link
+        (:meth:`Broker.add_peer`); central mode then pushes routes."""
+        self.broker(a), self.broker(b)  # KeyError on an unknown name
         if self._is_intercluster(a, b) and not (
             a in self._gateways_of[self._cluster_of[a]]
             and b in self._gateways_of[self._cluster_of[b]]
@@ -223,29 +222,22 @@ class BrokerNetwork:
                 "brokers of their clusters"
             )
         self._repeer(a, b)
-        if self.autonomous:
-            return  # LSA flood + digest exchange take it from here
-        self._recompute_routes()
-        # Re-advertise interest so the new edge learns existing state.
-        broker_a.sync_subscriptions_to_peers()
-        broker_b.sync_subscriptions_to_peers()
+        if not self.autonomous:
+            self._recompute_routes()
 
     def disconnect(self, a: str, b: str) -> None:
+        """Remove the peer link between ``a`` and ``b``.  No interest
+        re-sync is needed: interest is keyed by origin broker, so the
+        next hop toward it follows the new routes, and an origin left
+        unreachable is purged by :meth:`Broker.set_routes`."""
         broker_a = self.broker(a)
         broker_b = self.broker(b)
         self.graph[a].discard(b)
         self.graph[b].discard(a)
         broker_a.remove_peer(b)
         broker_b.remove_peer(a)
-        if self.autonomous:
-            return
-        self._recompute_routes()
-        # Remote interest learned through the removed edge may now need a
-        # different next hop on brokers that never re-heard the adverts;
-        # re-sync from both former endpoints so routing state follows the
-        # new topology instead of waiting for the next natural advert.
-        broker_a.sync_subscriptions_to_peers()
-        broker_b.sync_subscriptions_to_peers()
+        if not self.autonomous:
+            self._recompute_routes()
 
     def remove_broker(self, name: str) -> None:
         """A broker is administratively retired: unpeer it everywhere,
@@ -291,11 +283,14 @@ class BrokerNetwork:
     # repair via LSAs.
 
     def crash_broker(self, name: str) -> None:
-        """Un-announced kill: sockets close, peers learn nothing."""
+        """Un-announced kill: sockets close, peers learn nothing (central
+        mode still pushes routes around the dead broker)."""
         broker = self._brokers.pop(name)
         self._crashed[name] = (broker.host, set(self.graph[name]))
         self._remove_node(name)
         broker.close()
+        if not self.autonomous:
+            self._recompute_routes()
 
     def restart_broker(self, name: str) -> Broker:
         """Bring a crashed broker back on its old host and re-peer it with
@@ -310,6 +305,8 @@ class BrokerNetwork:
                 and self._edge_key(name, peer) not in self._cut
             ):
                 self._repeer(name, peer)
+        if not self.autonomous:
+            self._recompute_routes()
         return broker
 
     def _repeer(self, a: str, b: str) -> None:
@@ -598,7 +595,6 @@ class BrokerNetwork:
         name_prefix: str = "broker",
         profile: BrokerProfile = NARADA_PROFILE,
         link: LinkProfile = LAN_1G,
-        gateways_per_cluster: int = 2,
         regions: Optional[Sequence[str]] = None,
         **options,
     ) -> "BrokerNetwork":
@@ -631,7 +627,6 @@ class BrokerNetwork:
             network,
             profile,
             clusters=clusters,
-            gateways_per_cluster=gateways_per_cluster,
             **options,
         )
         for members in clusters.values():

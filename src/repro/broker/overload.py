@@ -20,8 +20,10 @@ first-class, *observable* condition:
 Determinism contract: the controller is a *pure observer* below its
 watermarks.  It owns no timers, draws no randomness, and evaluates
 pressure lazily at existing decision points through side-effect-free
-signal reads — with the controller enabled but pressure under the
-degraded marks, the simulation is bit-identical to a run without it.
+signal reads.  Every broker builds one; with pressure under the
+degraded marks, the simulation is bit-identical to a run under a
+pressure-blind reference, ``OverloadController((lambda: 0,) * 3,
+ShedWatermarks())``, which can never leave NORMAL.
 """
 
 from __future__ import annotations

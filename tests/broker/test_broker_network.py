@@ -176,3 +176,48 @@ def test_disconnect_edge_recomputes_routes(net, sim):
     sim.run_for(1.0)
     assert len(got) == 1
     assert bnet.broker("b").events_forwarded >= 1
+
+
+def test_central_connect_offers_interest_over_new_edge_only(net, sim):
+    """A link coming up in central mode syncs interest as in autonomous
+    mode: each endpoint offers what it knows over the new link only,
+    rather than re-flooding every pattern to every peer."""
+    bnet = BrokerNetwork(net)
+    for name in ("a", "b", "c", "d"):
+        bnet.add_broker(name)
+    bnet.connect("a", "b")
+    bnet.connect("b", "c")
+    subscriber = connected_client(net, sim, bnet.broker("c"), "sub")
+    got = []
+    subscriber.subscribe("/t", got.append)
+    sim.run_for(1.0)
+    before = bnet.broker("b").control_messages
+    bnet.connect("a", "d")
+    sim.run_for(1.0)
+    assert bnet.broker("b").control_messages == before
+    publisher = connected_client(net, sim, bnet.broker("d"), "pub")
+    publisher.publish("/t", "via-d", 100)
+    sim.run_for(1.0)
+    assert [e.payload for e in got] == ["via-d"]
+
+
+def test_central_crash_and_restart_recompute_routes(net, sim):
+    """Central mode pushes routes around a crashed broker and to it
+    again once restarted; the restarted broker relearns interest from
+    its neighbours' link-up offers."""
+    bnet = BrokerNetwork.chain(net, 3)
+    publisher = connected_client(net, sim, bnet.broker("broker-0"), "pub")
+    subscriber = connected_client(net, sim, bnet.broker("broker-2"), "sub")
+    got = []
+    subscriber.subscribe("/t", got.append)
+    sim.run_for(1.0)
+    publisher.publish("/t", "before", 100)
+    sim.run_for(1.0)
+    bnet.crash_broker("broker-1")
+    assert bnet.broker("broker-0").known_brokers() == ["broker-0"]
+    restarted = bnet.restart_broker("broker-1")
+    sim.run_for(1.0)
+    assert restarted.known_brokers() == ["broker-0", "broker-1", "broker-2"]
+    publisher.publish("/t", "after", 100)
+    sim.run_for(1.0)
+    assert [e.payload for e in got] == ["before", "after"]

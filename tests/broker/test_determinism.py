@@ -11,6 +11,7 @@ in ``tests/golden``.
 import pytest
 
 from repro.broker import Broker, BrokerClient, BrokerNetwork
+from repro.broker.overload import OverloadController, ShedWatermarks
 from repro.simnet.kernel import Simulator
 from repro.simnet.link import LinkProfile
 from repro.simnet.network import Network
@@ -24,12 +25,14 @@ FLAKY = LinkProfile(
 SEED = 1234
 
 
-def run_workload(events=60, overload_enabled=True, tracer_rate=None):
+def run_workload(events=60, pressure_blind=False, tracer_rate=None):
     """One seeded pub-sub run; returns the full delivery trace.
 
     Three subscribers (fan-out > 1, so the shared envelope and payload
     freezing both engage), one publisher, plain + ordered events, lossy
-    jittery links everywhere.
+    jittery links everywhere.  ``pressure_blind`` swaps the broker's
+    controller for the inert reference: every signal reads 0, so it can
+    never leave NORMAL and sheds, refuses and suppresses nothing.
     """
     from repro.obs.trace import Tracer
 
@@ -38,9 +41,12 @@ def run_workload(events=60, overload_enabled=True, tracer_rate=None):
     broker = Broker(
         net.create_host("broker-host", link=FLAKY),
         broker_id="b0",
-        overload_enabled=overload_enabled,
         tracer=Tracer(tracer_rate) if tracer_rate else None,
     )
+    if pressure_blind:
+        broker.overload = OverloadController(
+            (lambda: 0,) * 3, ShedWatermarks()
+        )
     trace = []
 
     def receiver(name):
@@ -88,11 +94,11 @@ def normalize(trace, id_field):
 
 def test_overload_controller_below_watermarks_is_bit_identical():
     """The overload controller is a pure observer under its watermarks:
-    with pressure below the degraded marks the enabled run must match a
-    run without the controller to the last bit."""
-    enabled = run_workload(overload_enabled=True)
-    disabled = run_workload(overload_enabled=False)
-    assert enabled == disabled
+    with pressure below the degraded marks the run must match a run under
+    the pressure-blind reference controller to the last bit."""
+    enabled = run_workload()
+    blind = run_workload(pressure_blind=True)
+    assert enabled == blind
 
 
 def flat_mesh_trace(label_regions=False, **network_options):
@@ -235,11 +241,11 @@ def test_clustered_mode_is_deterministic():
 def test_tracer_auto_degrade_is_inert_below_watermarks():
     """The tracer's overload gate reads ``overload.state`` without
     refreshing it: in a run where the controller never trips, the
-    traced workload must match a controller-less run to the last bit
+    traced workload must match a pressure-blind run to the last bit
     (the gate may not perturb sampling decisions or delivery order)."""
-    enabled = run_workload(overload_enabled=True, tracer_rate=0.25)
-    disabled = run_workload(overload_enabled=False, tracer_rate=0.25)
-    assert enabled == disabled
+    enabled = run_workload(tracer_rate=0.25)
+    blind = run_workload(pressure_blind=True, tracer_rate=0.25)
+    assert enabled == blind
 
 
 def telemetry_clustered_trace():

@@ -386,12 +386,3 @@ def test_below_watermarks_counters_all_zero(sim, net):
     assert stats["admissions_refused"] == 0
     assert stats["overload_state"] == NORMAL
     assert client.busy_rejections == 0
-
-
-def test_overload_disabled_broker_has_no_controller(sim, net):
-    broker = Broker(net.create_host("bh"), broker_id="b0",
-                    overload_enabled=False)
-    assert broker.overload is None
-    stats = broker.statistics()
-    assert stats["overload_state"] == NORMAL
-    assert stats["events_shed"] == 0

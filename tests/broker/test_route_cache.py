@@ -167,7 +167,10 @@ class TestBrokerWiring:
 
     def test_disabled_cache_same_results_no_counters(self, net, sim):
         host = net.create_host("plain-broker-host")
-        broker = Broker(host, broker_id="plain", route_cache_enabled=False)
+        broker = Broker(host, broker_id="plain")
+        # The uncached reference: a cache with no room never hits, so
+        # every lookup takes the miss (cache-fill) path.
+        broker.route_cache = RouteCache(max_entries=0)
         publisher = make_client(net, sim, broker, "pub")
         subscriber = make_client(net, sim, broker, "sub")
         got = []
@@ -177,7 +180,8 @@ class TestBrokerWiring:
             self.publish_and_run(sim, publisher)
         assert len(got) == 3
         assert broker.route_cache.hits == 0
-        assert broker.route_cache.misses == 0
+        assert broker.route_cache.misses == 3  # one resolve per publish
+        assert len(broker.route_cache) == 0
 
     def test_statistics_block_and_monitor_sample(self, net, sim, single_broker):
         publisher = make_client(net, sim, single_broker, "pub")
